@@ -39,12 +39,12 @@ s = shift2()
 print()
 print("the shift attains ||A|| = 2 w(A):", operator_norm(s), "=", 2 * numerical_radius(s))
 
-# A quick cross-check of the sweep: the oracle takes the best random Rayleigh
+# A quick cross-check of the radius: the oracle takes the best random Rayleigh
 # quotients and refines them by a few ascent steps. Each is |<Ax, x>| of a
 # unit vector, so it can only ever fall below the radius, and it comes close.
 a = cases["random 4x4"]
 lower = numerical_radius_oracle(a, 200_000, seed=0)
-print(f"sampling lower bound {lower:.6f} <= sweep radius {numerical_radius(a):.6f}")
+print(f"sampling lower bound {lower:.6f} <= certified radius {numerical_radius(a):.6f}")
 
 # Boundary export: CSV of (theta, boundary point, support value) plus an SVG
 # with the boundary polygon and the two reference circles.

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, operator_norm, shift
+from .linalg import as_matrix, operator_norm, shift, shifted_norms
 from .numrange import numerical_radius
 
 __all__ = [
@@ -510,31 +510,22 @@ def optimize_lambda(t, *, coarse: int = 32, step_tol: float = 1e-8, pad: float =
     certificate remains usable by the evaluators.
     """
     t = as_matrix(t)
-    n = t.shape[0]
-    eye = np.eye(n, dtype=complex)
     big = operator_norm(t)
     cap = 2.0 * big if big > 0 else 1e-6
-
-    def rad(lams) -> np.ndarray:
-        lams = np.asarray(lams, dtype=complex)
-        stack = t[None, :, :] - lams[:, None, None] * eye
-        gram = np.einsum("bij,bik->bjk", stack.conj(), stack)
-        top = np.linalg.eigvalsh(gram)[:, -1]
-        return np.sqrt(np.clip(top, 0.0, None))
 
     # coarse is even, so the grid never contains exactly 0.
     xs = np.linspace(-cap, cap, int(coarse))
     re, im = np.meshgrid(xs, xs)
     cand = (re + 1j * im).ravel()
     cand = cand[np.abs(cand) <= cap]
-    vals = rad(cand)
+    vals = shifted_norms(t, cand)
     k = int(np.argmin(vals))
     lam, best = complex(cand[k]), float(vals[k])
 
     step = 2.0 * cap / (int(coarse) - 1)
     while step > step_tol:
         moves = np.array([lam + step, lam - step, lam + 1j * step, lam - 1j * step])
-        mv = rad(moves)
+        mv = shifted_norms(t, moves)
         j = int(np.argmin(mv))
         if mv[j] < best and moves[j] != 0:
             lam, best = complex(moves[j]), float(mv[j])

@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="radius, norm, and boundary CSV of a matrix")
     p.add_argument("matrix", help="matrix JSON file")
-    p.add_argument("--grid", type=int, default=512, help="theta grid size (default 512)")
+    p.add_argument("--grid", type=int, default=512, help="boundary angles in the CSV (default 512)")
     p.add_argument("--out", default=None, help="boundary CSV path (default <matrix>.boundary.csv)")
     p.set_defaults(func=cmd_compute)
 
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="SVG plot of the boundary with w and norm circles")
     p.add_argument("matrix", help="matrix JSON file")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=512, help="boundary angles (default 512)")
     p.set_defaults(func=cmd_plot)
 
     return parser

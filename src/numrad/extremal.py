@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import DiskCertificate, SectorPair
-from .linalg import as_matrix, operator_norm, shift
+from .linalg import as_matrix, operator_norm, shift, shifted_norms
 
 __all__ = [
     "SearchResult",
@@ -173,7 +173,6 @@ def _search(n, iters, seed, lam_values, lam_radius) -> SearchResult:
         raise ValueError("need iters >= 1")
     lam_values = np.asarray(lam_values, dtype=float)
     allowed = lam_radius(lam_values)
-    eye = np.eye(n, dtype=complex)
     best: SearchResult | None = None
     for trial in range(iters):
         rng = np.random.default_rng([seed, trial])
@@ -184,10 +183,7 @@ def _search(n, iters, seed, lam_values, lam_radius) -> SearchResult:
         if nrm == 0.0:
             continue
         t /= nrm
-        stack = t[None, :, :] - lam_values[:, None, None] * eye
-        gram = np.einsum("bij,bik->bjk", stack.conj(), stack)
-        dist = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
-        excess = np.maximum(0.0, dist - allowed)
+        excess = np.maximum(0.0, shifted_norms(t, lam_values) - allowed)
         j = int(np.argmin(excess))
         res = SearchResult(
             candidate=t,

@@ -11,7 +11,10 @@ because Re(e^{i theta} <Ax, x>) = <H(theta) x, x>. Two consequences drive
 this module: the boundary of W(A) is traced by the Rayleigh quotients of the
 top eigenvectors of H(theta), and the numerical radius w(A) = max |W(A)|
 equals max over theta of the top eigenvalue of H(theta). Everything therefore
-reduces to Hermitian eigenproblems, swept over a theta grid.
+reduces to Hermitian eigenproblems: the boundary is swept over a theta grid,
+and the radius is found by Newton steps on that top eigenvalue and certified
+by a level-set test, which finds every angle where a given level is an
+eigenvalue of H(theta) (see `numerical_radius`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, operator_norm
+from .linalg import NoConvergence, as_matrix, operator_norm, pow2_scaled
 
 __all__ = [
     "Boundary",
@@ -36,11 +39,27 @@ __all__ = [
     "is_convex_polyline",
 ]
 
-# Coarse grid for the radius sweep. The support function is continuous with a
-# handful of local maxima at desk scale, so 512 points bracket the global
-# basin; a golden-section pass then refines the angle below REFINE_TOL.
-RADIUS_GRID = 512
-REFINE_TOL = 1e-10
+# Default number of boundary angles in range_summary.
+BOUNDARY_GRID = 512
+# Radius seed grid: its local maxima start Newton. The level-set test, not
+# this grid, finds the global basin, so the grid can be coarse.
+SEED_GRID = 16
+# The radius is certified at the level r = L (1 + LEVEL_RTOL) above the
+# attained value L: well above eigensolver roundoff, so a converged L passes.
+LEVEL_RTOL = 1e-12
+_EPS = np.finfo(float).eps
+# Newton stops where f'' > -_FLAT * L, as on the flat support function of a
+# square-zero matrix, where f'' is roundoff. Below this curvature f varies by
+# less than about LEVEL_RTOL * L, so the seed grid's best value already lies
+# within the certified level.
+_FLAT = 1e-12
+_NEWTON_STARTS = 4
+_NEWTON_STEPS = 8
+# Crossing gaps narrower than this (radians) hold no midpoint that matters.
+_MIN_GAP = 1e-9
+# Each failed test raises L by a factor of at least 1 + LEVEL_RTOL; in
+# practice one or two tests suffice, so this only guards against a loop.
+_MAX_TESTS = 32
 
 _ORACLE_CHUNK = 1 << 16
 # Refinement of the oracle's best draws. Two steps bring the worst gap on the
@@ -48,7 +67,6 @@ _ORACLE_CHUNK = 1 << 16
 # same local maximum, and results for different seeds then agree to roundoff.
 _ORACLE_STARTS = 4
 _ORACLE_STEPS = 2
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def rotated_hermitian_part(a, theta: float) -> np.ndarray:
@@ -108,44 +126,100 @@ def numerical_range_boundary(a, n_theta: int) -> Boundary:
     return Boundary(thetas=thetas, points=points, supports=vals[:, -1])
 
 
-def numerical_radius(a, grid: int = RADIUS_GRID, refine_tol: float = REFINE_TOL) -> float:
-    """Numerical radius w(A) = max over theta of the top eigenvalue of H(theta).
+def _polish(a: np.ndarray, thetas: np.ndarray, best: float) -> float:
+    """Largest top eigenvalue of H(theta) met in Newton steps from each angle.
 
-    A coarse sweep over `grid` angles locates the basin of the global
-    maximum; golden-section search then shrinks the bracket around the best
-    grid angle until it is narrower than refine_tol.
+    The derivatives of the top eigenvalue f(theta) of H(theta), with top
+    eigenpair (f, x), come from first and second order perturbation theory:
+    f' = <H' x, x> with H' = i (e^{i theta} A - e^{-i theta} A*) / 2, and
+    f'' = -f + 2 sum_j |<H' x, v_j>|^2 / (f - lambda_j) over the other
+    eigenpairs (lambda_j, v_j), since H'' = -H. An angle keeps stepping while
+    f'' is clearly negative and the Newton model still promises a gain above
+    roundoff; a flat support function (f'' ~ 0) stops at once. Steps are
+    capped at one seed-grid spacing, and every evaluated f is attained.
+    """
+    at = a.conj().T
+    floor = a.shape[0] * _EPS
+    cap = 2.0 * np.pi / SEED_GRID
+    for _ in range(_NEWTON_STEPS):
+        if thetas.size == 0:
+            break
+        ph = np.exp(1j * thetas)[:, None]
+        vals, vecs = np.linalg.eigh(_hermitian_stack(a, thetas))
+        best = max(best, float(vals[:, -1].max()))
+        x = vecs[:, :, -1]
+        hx = 0.5j * (ph * (x @ a.T) - ph.conj() * (x @ at.T))
+        c = (vecs.conj().swapaxes(-1, -2) @ hx[:, :, None])[:, :, 0]
+        d1 = c[:, -1].real
+        gaps = np.maximum(vals[:, -1:] - vals[:, :-1], floor)
+        d2 = -vals[:, -1] + 2.0 * (np.abs(c[:, :-1]) ** 2 / gaps).sum(axis=1)
+        go = (d2 < -_FLAT * best) & (d1 * d1 > -2.0 * d2 * _EPS * best)
+        thetas = thetas[go] + np.clip(-d1[go] / d2[go], -cap, cap)
+    return best
+
+
+def _starts(thetas: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The angles of the _NEWTON_STARTS largest values, largest first."""
+    return thetas[np.argsort(-vals, kind="stable")[:_NEWTON_STARTS]]
+
+
+def numerical_radius(a) -> float:
+    """Numerical radius w(A) = max over theta of the top eigenvalue f(theta) of H(theta).
+
+    Certified level-set iteration (He & Watson 1997; Mengi & Overton 2005):
+
+    1. The local maxima of f on a SEED_GRID-angle grid start Newton steps
+       (see `_polish`); L is the largest f met, attained at an explicit
+       angle, so L <= w(A).
+    2. Level-set test at r = L (1 + LEVEL_RTOL). With theta = phi + 2 atan(t),
+       (1 + t^2)(H(theta) - r I) is the Hermitian quadratic
+       P(t) = t^2 (H(psi) - r I) - 2 t H'(psi) - (H(psi) + r I), where
+       psi = phi + pi is the grid minimum of f. So r is an eigenvalue of
+       H(theta) exactly when det P(t) = 0, and the leading coefficient is
+       negative definite because f(psi) <= L < r: its inverse and the
+       eigenvalues of the 2n x 2n companion matrix give every crossing.
+    3. Between consecutive crossings f - r keeps one sign, so one batched
+       evaluation at their midpoints decides it on the whole circle. No
+       midpoint above r certifies w(A) <= r; otherwise Newton restarts from
+       the midpoints above r and the test repeats at the raised L.
+
+    Every companion eigenvalue counts as a crossing at the angle of its real
+    part, so a real root that roundoff moved off the axis is still seen;
+    extra angles only split an interval further. Midpoints of gaps narrower
+    than _MIN_GAP, such as the two angles of a conjugate pair, are skipped,
+    and so is the gap through psi, where f < r.
+    The iteration runs on A scaled by a power of two (exact), and returns L.
     """
     a = as_matrix(a)
-    grid = int(grid)
-    if grid < 8:
-        raise ValueError(f"need at least 8 grid angles, got {grid}")
-    thetas = np.arange(grid) * (2.0 * np.pi / grid)
-    sup = np.linalg.eigvalsh(_hermitian_stack(a, thetas))[:, -1]
-    k = int(np.argmax(sup))
-    best = float(sup[k])
+    a, e = pow2_scaled(a)
+    if not a.any():
+        return 0.0
+    n = a.shape[0]
+    eye = np.eye(n)
+    comp = np.zeros((2 * n, 2 * n), dtype=complex)
+    comp[:n, n:] = eye
+    grid = np.arange(SEED_GRID) * (2.0 * np.pi / SEED_GRID)
+    stack = _hermitian_stack(a, grid)
+    sup = np.linalg.eigvalsh(stack)[:, -1]
+    ring = np.concatenate([sup[-1:], sup, sup[:1]])
+    peak = (sup >= ring[:-2]) & (sup >= ring[2:])
+    best = _polish(a, _starts(grid[peak], sup[peak]), float(sup.max()))
 
-    at = a.conj().T
-
-    def f(t: float) -> float:
-        ph = np.exp(1j * t)
-        return float(np.linalg.eigvalsh(0.5 * (ph * a + np.conj(ph) * at))[-1])
-
-    step = 2.0 * np.pi / grid
-    lo = thetas[k] - step
-    hi = thetas[k] + step
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > refine_tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    return max(best, fc, fd)
+    k = int(np.argmin(sup))
+    psi, h = grid[k], stack[k]
+    dh = 0.5j * (np.exp(1j * psi) * a - np.exp(-1j * psi) * a.conj().T)
+    for _ in range(_MAX_TESTS):
+        r = best * (1.0 + LEVEL_RTOL)
+        comp[n:] = np.linalg.solve(h - r * eye, np.concatenate([h + r * eye, 2.0 * dh], axis=1))
+        cross = np.sort(2.0 * np.arctan(np.linalg.eigvals(comp).real))
+        wide = np.diff(cross) > _MIN_GAP
+        mids = psi + np.pi + 0.5 * (cross[1:] + cross[:-1])[wide]
+        vals = np.linalg.eigvalsh(_hermitian_stack(a, mids))[:, -1]
+        up = vals > r
+        if not up.any():
+            return float(np.ldexp(best, e))
+        best = _polish(a, _starts(mids[up], vals[up]), max(best, float(vals.max())))
+    raise NoConvergence(f"numerical radius not certified after {_MAX_TESTS} level-set tests")
 
 
 def _top(vals: np.ndarray, k: int) -> np.ndarray:
@@ -174,8 +248,7 @@ def _ascend(a: np.ndarray, x: np.ndarray, steps: int) -> float:
     The steps run on A scaled by a power of two to a largest entry in
     [1/2, 1): that is exact, and no norm below can over- or underflow.
     """
-    e = int(np.frexp(np.abs(a).max())[1])
-    a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+    a, e = pow2_scaled(a)
 
     def dot(y, z):
         return np.einsum("bi,bi->b", y.conj(), z)
@@ -252,11 +325,14 @@ def numerical_radius_oracle(a, samples: int, seed: int) -> float:
     return max(float(kept.max()), _ascend(a, starts, _ORACLE_STEPS))
 
 
-def range_summary(a, n_theta: int = RADIUS_GRID) -> RangeSummary:
-    """Radius, operator norm, and boundary sampled at n_theta angles."""
+def range_summary(a, n_theta: int = BOUNDARY_GRID) -> RangeSummary:
+    """Radius, operator norm, and boundary sampled at n_theta angles.
+
+    n_theta sets the boundary samples only; the radius does not depend on it.
+    """
     a = as_matrix(a)
     return RangeSummary(
-        radius=numerical_radius(a, grid=max(n_theta, 8)),
+        radius=numerical_radius(a),
         norm=operator_norm(a),
         boundary=numerical_range_boundary(a, n_theta),
     )

@@ -43,6 +43,22 @@ def test_compute_default_csv_path(s2_file, capsys):
     assert (s2_file.parent / (s2_file.name + ".boundary.csv")).exists()
 
 
+def test_compute_grid_sets_boundary_samples_only(tmp_path, capsys):
+    # An 8-angle --grid once also seeded the radius, and this matrix's w
+    # came out 3% low.
+    a = np.random.default_rng(59).standard_normal((3, 3)) + 1j * np.random.default_rng(
+        [59, 1]
+    ).standard_normal((3, 3))
+    path = tmp_path / "m.json"
+    save_matrix(path, a)
+    printed = []
+    for grid in ("8", "512"):
+        assert run_cli("compute", path, "--grid", grid, "--out", tmp_path / f"b{grid}.csv") == 0
+        printed.append(capsys.readouterr().out.splitlines()[0])
+    assert printed[0] == printed[1]
+    assert len((tmp_path / "b8.csv").read_text().splitlines()) == 9
+
+
 # ------------------------------------------------------------------- verify
 
 

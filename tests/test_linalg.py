@@ -1,5 +1,7 @@
 """Matrix kernel tests, cross-checked against closed forms and power iteration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from numrad.linalg import (
     operator_norm,
     scale,
     shift,
+    shifted_norms,
 )
+from numrad.numrange import numerical_radius
 
 
 def rand_matrix(rng, n):
@@ -164,6 +168,13 @@ def test_eigen_rejects_nonhermitian():
         hermitian_eigen([[0, 0], [1, 0]])
 
 
+def test_eigen_rejects_small_nonhermitian():
+    # Asymmetry is judged relative to the matrix's own Frobenius norm, so a
+    # tiny matrix is no more Hermitian than the same matrix at unit scale.
+    with pytest.raises(NotHermitian):
+        hermitian_eigen(1e-12 * np.array([[1, 1], [0, 1]], dtype=complex))
+
+
 def test_eigen_accepts_tiny_asymmetry():
     a = np.array([[1.0, 1e-12], [0.0, 1.0]], dtype=complex)
     res = hermitian_eigen(a)
@@ -201,3 +212,29 @@ def test_hermitian_norm_is_max_abs_eigenvalue():
         a = rand_hermitian(rng, n)
         res = hermitian_eigen(a)
         assert abs(operator_norm(a) - max(abs(res.values[0]), abs(res.values[-1]))) <= 1e-10
+
+
+@pytest.mark.parametrize("scale_", [1e-170, 1e-150, 1e150, 1e160])
+def test_norm_sandwich_holds_at_extreme_scales(scale_):
+    a = scale_ * np.array([[1, 2], [0, 1j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nrm = operator_norm(a)
+        w = numerical_radius(a)
+    assert w > 0.0
+    assert w <= nrm * (1 + 1e-12)
+    assert nrm <= 2.0 * w * (1 + 1e-12)
+    assert abs(nrm / scale_ - operator_norm([[1, 2], [0, 1j]])) <= 1e-12 * nrm / scale_
+
+
+def test_norm_of_zero_matrix():
+    assert operator_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_shifted_norms_match_one_norm_per_shift():
+    rng = np.random.default_rng(23)
+    for n in (1, 3, 5):
+        t = rand_matrix(rng, n)
+        lams = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        expected = [operator_norm(shift(t, lam)) for lam in lams]
+        assert np.allclose(shifted_norms(t, lams), expected, rtol=1e-13, atol=0.0)

@@ -1,17 +1,25 @@
 """Numerical range and radius tests.
 
-The sampling oracle (a guaranteed lower bound on the radius) cross-validates
-the support-function sweep; geometric invariants of the range are checked on
-random ensembles.
+The sampling oracle (a guaranteed lower bound on the radius) and fine
+support-function sweeps cross-validate the certified radius; geometric
+invariants of the range are checked on random ensembles.
 """
 
 import numpy as np
 import pytest
 
-from numrad.extremal import random_unitary, shift2
+from numrad.extremal import (
+    gen_disk_instance,
+    gen_nilpotent_instance,
+    gen_segment_instance,
+    ginibre,
+    random_unitary,
+    shift2,
+)
 from numrad.linalg import adjoint, hermitian_eigen, operator_norm
 from numrad.numrange import (
     _ORACLE_CHUNK,
+    LEVEL_RTOL,
     is_convex_polyline,
     numerical_radius,
     numerical_radius_oracle,
@@ -127,6 +135,92 @@ def test_radius_matches_support_maximum():
     fine = support_values(a, np.linspace(0.0, 2.0 * np.pi, 20001))
     assert w >= fine.max() - 1e-9
     assert w <= fine.max() + 1e-6
+
+
+def fine_radius(a):
+    """Max of support_values by a 4096-angle sweep, then two zoomed sweeps
+    of 2001 angles around each of the 3 best coarse angles."""
+    thetas = np.arange(4096) * (2.0 * np.pi / 4096)
+    vals = support_values(a, thetas)
+    best = float(vals.max())
+    half = np.pi / 4096
+    for t in thetas[np.argsort(-vals)[:3]]:
+        h = half
+        for _ in range(2):
+            zoom = t + np.linspace(-h, h, 2001)
+            zv = support_values(a, zoom)
+            t, h = zoom[int(np.argmax(zv))], h / 1000
+            best = max(best, float(zv.max()))
+    return best
+
+
+def sweep_ensemble_draws(count):
+    """(ensemble, matrix) pairs from the four sweep ensembles, n = 1..6."""
+    for s in range(count):
+        n = 1 + s % 6
+        yield "disk", gen_disk_instance(1 + 0.5j, 0.4, n, s)[0]
+        yield "segment", gen_segment_instance(1.0, 3.0, n, s)[0]
+        yield "ginibre", ginibre(n, np.random.default_rng([s, 7]))
+        if n >= 2:
+            yield "nilpotent", gen_nilpotent_instance(n, s)
+
+
+def test_radius_matches_fine_sweep_and_certifies_its_level():
+    for ensemble, a in sweep_ensemble_draws(30):
+        w = numerical_radius(a)
+        ref = fine_radius(a)
+        level = w * (1.0 + LEVEL_RTOL)
+        assert abs(w - ref) <= 1e-12 * ref, ensemble
+        assert ref <= level <= ref * (1.0 + 1e-11), ensemble
+
+
+def count_eigensolves(monkeypatch):
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_radius_of_square_zero_stops_newton_at_once(seed, monkeypatch):
+    # W(T) of a square-zero T is the disk of radius ||T||/2 about 0, so the
+    # support function is flat: one grid sweep, one Newton evaluation that
+    # sees f'' ~ 0, and one level-set midpoint sweep.
+    t = gen_nilpotent_instance(2 + seed, seed)
+    calls = count_eigensolves(monkeypatch)
+    w = numerical_radius(t)
+    assert len(calls) <= 3
+    assert abs(w - 0.5 * operator_norm(t)) <= 1e-12 * w
+
+
+@pytest.mark.parametrize("spectrum", [(2.0, -2.0, 0.5), (1.0, -3.0, 0.2), (3.0, -1.0, 2.9)])
+def test_radius_of_hermitian_with_antipodal_maxima(spectrum):
+    # A Hermitian support function peaks at theta = 0 (lambda_max) and at pi
+    # (-lambda_min); with |lambda_min| = lambda_max both are global maxima.
+    u = random_unitary(3, np.random.default_rng(21))
+    a = (u * np.array(spectrum)) @ u.conj().T
+    a = 0.5 * (a + a.conj().T)
+    expected = max(abs(x) for x in spectrum)
+    assert abs(numerical_radius(a) - expected) <= 1e-12 * expected
+
+
+def test_radius_of_one_by_one_and_zero():
+    assert abs(numerical_radius([[3.0 - 4.0j]]) - 5.0) <= 5e-12
+    assert numerical_radius(np.zeros((3, 3))) == 0.0
+
+
+def test_radius_is_exact_under_power_of_two_scaling():
+    for n in (1, 3, 5):
+        a = rand_matrix(np.random.default_rng(22 + n), n)
+        w = numerical_radius(a)
+        for k in (-1000, -1, 1, 1000):
+            assert numerical_radius(a * 2.0**k) == w * 2.0**k
 
 
 # ------------------------------------------------------------------- oracle
