@@ -13,10 +13,11 @@ is bounded above. Certificates come in two shapes:
   equivalent to the disk certificate with center (phi + varphi)/2 and radius
   |phi - varphi|/2.
 
-Each evaluator measures one bound and returns an InequalityReport containing
-the hypothesis status, both sides, and the slack rhs - lhs. A failed
-hypothesis is data, never an exception, so ensemble sweeps can aggregate
-failures without aborting. The verified bounds, by identifier:
+verify_all checks each certificate's hypothesis once and reports every bound
+resting on it; the eight evaluators pick out the bounds they are named for.
+Each report holds the hypothesis status, both sides, and the slack rhs - lhs.
+A failed hypothesis is data, never an exception, so ensemble sweeps can
+aggregate failures without aborting. The verified bounds, by identifier:
 
     T2_2   norm - w <= r^2 / (2 |lambda|)
     E2_4   norm^2 + |lambda|^2 <= 2 w |lambda| + r^2
@@ -86,12 +87,12 @@ _ID_ORDER = {iid: k for k, iid in enumerate(INEQUALITY_IDS)}
 # (the bounds are theorems; instances are O(1)-scaled).
 SLACK_TOL = 1e-8
 DISK_TOL = 1e-9
+# Relative to ||A* - conj(varphi) I||_F ||phi I - A||_F (check_sector_hypothesis).
 PSD_TOL = 1e-9
 SYM_RTOL = 1e-9
 RHO_TOL = 1e-9
 # Auto-rho mode switches to the |lambda| = w special case below this gap.
 CENTER_COINCIDENCE_TOL = 1e-9
-ZERO_NORM_TOL = 1e-14
 # r/|lambda| at or below sqrt(3)/2 makes the ratio bounds sharper than the
 # universal w >= norm/2.
 REFINEMENT_RATIO = np.sqrt(3.0) / 2.0
@@ -199,12 +200,13 @@ class InequalityReport:
     refinement_flag: bool | None = None
 
 
-def _radius_and_norm(t, w, norm):
+def _prepared(t, w, norm):
+    t = as_matrix(t)
     if w is None:
         w = numerical_radius(t)
     if norm is None:
         norm = operator_norm(t)
-    return float(w), float(norm)
+    return t, float(w), float(norm)
 
 
 def _report(iid, ok, diag, lhs, rhs, w, norm, flag=None):
@@ -213,7 +215,7 @@ def _report(iid, ok, diag, lhs, rhs, w, norm, flag=None):
     return InequalityReport(
         inequality_id=iid,
         hypothesis_ok=bool(ok),
-        diagnostic=diag,
+        diagnostic=diag if ok else diag + " [hypothesis failed]",
         lhs=lhs,
         rhs=rhs,
         slack=rhs - lhs,
@@ -245,82 +247,35 @@ def check_sector_hypothesis(a, s: SectorPair) -> tuple[bool, float]:
     Re<Bx, x> >= 0 for all x, which in finite dimension is exactly positive
     semidefiniteness of the Hermitian part (B + B*)/2; the reported minimum
     eigenvalue is taken there. OPERATOR_ORDER mode additionally requires B to
-    be self-adjoint to a relative Frobenius tolerance.
+    be self-adjoint. Both tolerances are relative to the product of the two
+    factors' Frobenius norms, which bounds the rounding error in forming B.
     """
     a = as_matrix(a)
     eye = np.eye(a.shape[0], dtype=complex)
-    b = (a.conj().T - np.conj(s.varphi) * eye) @ (s.phi * eye - a)
+    left, right = a.conj().T - np.conj(s.varphi) * eye, s.phi * eye - a
+    b = left @ right
+    scale = float(np.linalg.norm(left)) * float(np.linalg.norm(right))
     herm = 0.5 * (b + b.conj().T)
     min_eig = float(np.linalg.eigvalsh(herm)[0])
-    ok = min_eig >= -PSD_TOL
+    ok = min_eig >= -PSD_TOL * scale
     if s.mode == OPERATOR_ORDER:
         dev = float(np.linalg.norm(b - b.conj().T))
-        ok = ok and dev <= SYM_RTOL * max(1.0, float(np.linalg.norm(b)))
+        ok = ok and dev <= SYM_RTOL * scale
     return ok, min_eig
 
 
-def _disk_diag(ok: bool, measured: float, cert: DiskCertificate, extra: str = "") -> str:
-    rel = "<=" if measured <= cert.r + DISK_TOL else ">"
-    msg = f"||T - lambda I|| = {measured:.12g} {rel} r = {cert.r:.12g}"
-    if extra:
-        msg += "; " + extra
-    if not ok:
-        msg += " [hypothesis failed]"
-    return msg
+def _disk_reports(t, cert: DiskCertificate, w, norm) -> dict:
+    """Every disk bound of one certificate, from a single check_disk call.
 
-
-def _sector_diag(a, s: SectorPair) -> tuple[bool, str]:
-    if s.is_degenerate():
-        return False, "degenerate sector pair (phi equals varphi or -varphi) [hypothesis failed]"
-    ok, min_eig = check_sector_hypothesis(a, s)
-    mode = "operator order" if s.mode == OPERATOR_ORDER else "accretivity"
-    msg = f"sector {mode} check: min eig = {min_eig:.6g}"
-    if not ok:
-        msg += " [hypothesis failed]"
-    return ok, msg
-
-
-def eval_disk_bound(t, cert: DiskCertificate, *, w=None, norm=None):
-    """Reports T2_2 and E2_4 for a disk certificate.
-
-    Pass precomputed w/norm to skip their recomputation (verify_all and the
-    sweeps do); otherwise both are measured here.
+    Maps each identifier to its report, or to the exception its evaluator
+    raises when the bound is undefined for this matrix and certificate.
     """
-    t = as_matrix(t)
-    w, norm = _radius_and_norm(t, w, norm)
+    t, w, norm = _prepared(t, w, norm)
     ok, measured = check_disk(t, cert)
-    diag = _disk_diag(ok, measured, cert)
-    alam = abs(cert.lam)
-    rep_gap = _report("T2_2", ok, diag, norm - w, 0.5 * cert.r**2 / alam, w, norm)
-    rep_sq = _report(
-        "E2_4", ok, diag, norm**2 + alam**2, 2.0 * w * alam + cert.r**2, w, norm
-    )
-    return rep_gap, rep_sq
-
-
-def eval_sector_gap(a, s: SectorPair, *, w=None, norm=None):
-    """Report C2_7: the norm-radius gap bound under the sector hypothesis."""
-    a = as_matrix(a)
-    w, norm = _radius_and_norm(a, w, norm)
-    ok, diag = _sector_diag(a, s)
-    denom = abs(s.phi + s.varphi)
-    rhs = 0.25 * abs(s.phi - s.varphi) ** 2 / denom if denom > 0 else float("inf")
-    return _report("C2_7", ok, diag, norm - w, rhs, w, norm)
-
-
-def eval_disk_gap_squared(t, cert: DiskCertificate, *, w=None, norm=None):
-    """Report C2_13 (or R2_15): squared-gap bound with the radius gap rho.
-
-    With an explicit rho the claim | |lambda| - w | >= rho joins the
-    hypothesis. Without one, rho is set to the measured | |lambda| - w |;
-    when that gap is below CENTER_COINCIDENCE_TOL the report is emitted as
-    the special case R2_15 with rhs = r^2.
-    """
-    t = as_matrix(t)
-    w, norm = _radius_and_norm(t, w, norm)
-    ok, measured = check_disk(t, cert)
-    gap = abs(abs(cert.lam) - w)
-    extra = ""
+    diag = f"||T - lambda I|| = {measured:.12g} {'<=' if ok else '>'} r = {cert.r:.12g}"
+    alam, r = abs(cert.lam), cert.r
+    gap = abs(alam - w)
+    gap_ok = ok
     if cert.rho is None:
         if gap <= CENTER_COINCIDENCE_TOL:
             iid, rho = "R2_15", 0.0
@@ -331,12 +286,125 @@ def eval_disk_gap_squared(t, cert: DiskCertificate, *, w=None, norm=None):
     else:
         iid, rho = "C2_13", cert.rho
         if rho > gap + RHO_TOL:
-            ok = False
+            gap_ok = False
             extra = f"claimed rho = {rho:.12g} exceeds | |lambda| - w | = {gap:.12g}"
         else:
             extra = f"rho = {rho:.12g} <= | |lambda| - w | = {gap:.12g}"
-    diag = _disk_diag(ok, measured, cert, extra)
-    return _report(iid, ok, diag, norm**2 - w**2, cert.r**2 - rho**2, w, norm)
+    reports = {
+        "T2_2": _report("T2_2", ok, diag, norm - w, 0.5 * r**2 / alam, w, norm),
+        "E2_4": _report("E2_4", ok, diag, norm**2 + alam**2, 2.0 * w * alam + r**2, w, norm),
+        iid: _report(iid, gap_ok, f"{diag}; {extra}", norm**2 - w**2, r**2 - rho**2, w, norm),
+    }
+    if norm == 0:
+        zero = ZeroOperator("ratio bounds are undefined for the zero operator")
+        weighted = ZeroOperator("the weighted gap bound is undefined for the zero operator")
+        return reports | {"T3_2": zero, "R3_5": zero, "T4_2": weighted}
+    # The ratio and weighted bounds also need |lambda| > r.
+    if alam <= r:
+        ok = False
+        diag += f"; needs |lambda| > r, got |lambda| = {alam:.12g}, r = {r:.12g}"
+    flag = bool(r / alam <= REFINEMENT_RATIO)
+    ratio_sq = 1.0 - (r / alam) ** 2
+    lhs_root = float(np.sqrt(ratio_sq)) if ratio_sq > 0 else 0.0
+    root = float(np.sqrt(max(alam**2 - r**2, 0.0)))
+    return reports | {
+        "T3_2": _report("T3_2", ok, diag, lhs_root, w / norm, w, norm, flag),
+        "R3_5": _report("R3_5", ok, diag, norm**2 - w**2, (r / alam) ** 2 * norm**2, w, norm, flag),
+        "T4_2": _report("T4_2", ok, diag, norm**2 - w**2, 2.0 * r**2 * w / (alam + root), w, norm),
+    }
+
+
+def _sector_reports(a, s: SectorPair, w, norm) -> dict:
+    """Every sector bound of one pair, from at most one check_sector_hypothesis call.
+
+    A degenerate pair fails its hypothesis without a check. The result maps
+    identifiers as `_disk_reports` does.
+    """
+    a, w, norm = _prepared(a, w, norm)
+    if s.is_degenerate():
+        ok, diag = False, "degenerate sector pair (phi equals varphi or -varphi)"
+    else:
+        ok, min_eig = check_sector_hypothesis(a, s)
+        mode = "operator order" if s.mode == OPERATOR_ORDER else "accretivity"
+        diag = f"sector {mode} check: min eig = {min_eig:.6g}"
+    ssum, sdiff = abs(s.phi + s.varphi), abs(s.phi - s.varphi)
+    rhs = 0.25 * sdiff**2 / ssum if ssum > 0 else float("inf")
+    reports = {"C2_7": _report("C2_7", ok, diag, norm - w, rhs, w, norm)}
+    re_prod = float((s.phi * np.conj(s.varphi)).real)
+    if re_prod <= 0:
+        invalid = InvalidSector(f"needs Re(phi * conj(varphi)) > 0, got {re_prod:.12g}")
+        reports.update(dict.fromkeys(("C3_6", "C3_7", "C4_6"), invalid))
+    else:
+        rhs = (ssum - 2.0 * np.sqrt(re_prod)) * w
+        reports["C4_6"] = _report("C4_6", ok, diag, norm**2 - w**2, rhs, w, norm)
+        if norm == 0:
+            zero = ZeroOperator("ratio bounds are undefined for the zero operator")
+            reports.update(C3_6=zero, C3_7=zero)
+        else:
+            flag = bool(sdiff <= REFINEMENT_RATIO * ssum)
+            lhs_root = 2.0 * np.sqrt(re_prod) / ssum
+            reports["C3_6"] = _report("C3_6", ok, diag, lhs_root, w / norm, w, norm, flag)
+            rhs = (sdiff / ssum) ** 2 * norm**2
+            reports["C3_7"] = _report("C3_7", ok, diag, norm**2 - w**2, rhs, w, norm, flag)
+    m, M = s.segment() or (None, None)
+    if m is None:
+        undefined = InvalidInterval("segment bounds need real endpoints")
+    elif not (0 < m <= M):
+        undefined = InvalidInterval(f"needs M >= m > 0, got m = {m:.12g}, M = {M:.12g}")
+    elif norm == 0:
+        undefined = ZeroOperator("segment bounds are undefined for the zero operator")
+    else:
+        root_mm = float(np.sqrt(m * M))
+        droot = (np.sqrt(M) - np.sqrt(m)) ** 2
+        return reports | {
+            "R4_9": _report("R4_9", ok, diag, norm / w, (M + m) / (2.0 * root_mm), w, norm),
+            "R4_10": _report("R4_10", ok, diag, norm - w, droot / (2.0 * root_mm) * w, w, norm),
+            "R4_11": _report("R4_11", ok, diag, norm**2 - w**2, droot * w, w, norm),
+            "R4_12": _report("R4_12", ok, diag, norm - w, 0.25 * (M - m) ** 2 / (M + m), w, norm),
+        }
+    return reports | dict.fromkeys(("R4_9", "R4_10", "R4_11", "R4_12"), undefined)
+
+
+def _reports(t, cert, w, norm) -> dict:
+    if isinstance(cert, DiskCertificate):
+        return _disk_reports(t, cert, w, norm)
+    if isinstance(cert, SectorPair):
+        return _sector_reports(t, cert, w, norm)
+    raise TypeError(f"unsupported certificate type {type(cert).__name__}")
+
+
+def _pick(reports: dict, *ids):
+    """The reports present under ids, one bare or several as a tuple; raises a stored exception."""
+    found = [reports[iid] for iid in ids if iid in reports]
+    for rep in found:
+        if isinstance(rep, Exception):
+            raise rep
+    return found[0] if len(found) == 1 else tuple(found)
+
+
+def eval_disk_bound(t, cert: DiskCertificate, *, w=None, norm=None):
+    """Reports T2_2 and E2_4 for a disk certificate.
+
+    Pass precomputed w/norm to skip their recomputation; otherwise both are
+    measured here.
+    """
+    return _pick(_disk_reports(t, cert, w, norm), "T2_2", "E2_4")
+
+
+def eval_sector_gap(a, s: SectorPair, *, w=None, norm=None):
+    """Report C2_7: the norm-radius gap bound under the sector hypothesis."""
+    return _pick(_sector_reports(a, s, w, norm), "C2_7")
+
+
+def eval_disk_gap_squared(t, cert: DiskCertificate, *, w=None, norm=None):
+    """Report C2_13 (or R2_15): squared-gap bound with the radius gap rho.
+
+    With an explicit rho the claim | |lambda| - w | >= rho joins the
+    hypothesis. Without one, rho is set to the measured | |lambda| - w |;
+    when that gap is below CENTER_COINCIDENCE_TOL the report is emitted as
+    the special case R2_15 with rhs = r^2.
+    """
+    return _pick(_disk_reports(t, cert, w, norm), "C2_13", "R2_15")
 
 
 def eval_radius_ratio(t, cert: DiskCertificate, *, w=None, norm=None):
@@ -347,25 +415,7 @@ def eval_radius_ratio(t, cert: DiskCertificate, *, w=None, norm=None):
     leave the reals. The refinement flag records r/|lambda| <= sqrt(3)/2, the
     regime where T3_2 sharpens the universal w >= norm/2.
     """
-    t = as_matrix(t)
-    w, norm = _radius_and_norm(t, w, norm)
-    if norm <= ZERO_NORM_TOL:
-        raise ZeroOperator("ratio bounds are undefined for the zero operator")
-    ok, measured = check_disk(t, cert)
-    alam = abs(cert.lam)
-    extra = ""
-    if alam <= cert.r:
-        ok = False
-        extra = f"needs |lambda| > r, got |lambda| = {alam:.12g}, r = {cert.r:.12g}"
-    diag = _disk_diag(ok, measured, cert, extra)
-    flag = bool(cert.r / alam <= REFINEMENT_RATIO)
-    ratio_sq = 1.0 - (cert.r / alam) ** 2
-    lhs_root = float(np.sqrt(ratio_sq)) if ratio_sq > 0 else 0.0
-    rep_root = _report("T3_2", ok, diag, lhs_root, w / norm, w, norm, flag)
-    rep_sq = _report(
-        "R3_5", ok, diag, norm**2 - w**2, (cert.r / alam) ** 2 * norm**2, w, norm, flag
-    )
-    return rep_root, rep_sq
+    return _pick(_disk_reports(t, cert, w, norm), "T3_2", "R3_5")
 
 
 def eval_sector_ratio(a, s: SectorPair, *, w=None, norm=None):
@@ -375,26 +425,7 @@ def eval_sector_ratio(a, s: SectorPair, *, w=None, norm=None):
     |center| > radius for the equivalent disk. The refinement flag records
     |phi - varphi| <= sqrt(3)/2 * |phi + varphi|.
     """
-    re_prod = float((s.phi * np.conj(s.varphi)).real)
-    if re_prod <= 0:
-        raise InvalidSector(
-            f"needs Re(phi * conj(varphi)) > 0, got {re_prod:.12g}"
-        )
-    a = as_matrix(a)
-    w, norm = _radius_and_norm(a, w, norm)
-    if norm <= ZERO_NORM_TOL:
-        raise ZeroOperator("ratio bounds are undefined for the zero operator")
-    ok, diag = _sector_diag(a, s)
-    ssum = abs(s.phi + s.varphi)
-    sdiff = abs(s.phi - s.varphi)
-    flag = bool(sdiff <= REFINEMENT_RATIO * ssum)
-    rep_root = _report(
-        "C3_6", ok, diag, 2.0 * np.sqrt(re_prod) / ssum, w / norm, w, norm, flag
-    )
-    rep_sq = _report(
-        "C3_7", ok, diag, norm**2 - w**2, (sdiff / ssum) ** 2 * norm**2, w, norm, flag
-    )
-    return rep_root, rep_sq
+    return _pick(_sector_reports(a, s, w, norm), "C3_6", "C3_7")
 
 
 def eval_disk_gap_weighted(t, cert: DiskCertificate, *, w=None, norm=None):
@@ -403,34 +434,12 @@ def eval_disk_gap_weighted(t, cert: DiskCertificate, *, w=None, norm=None):
     Requires |lambda| > r; on hypothesis failure the square root in the
     denominator is clamped to 0 for the diagnostic value.
     """
-    t = as_matrix(t)
-    w, norm = _radius_and_norm(t, w, norm)
-    if norm <= ZERO_NORM_TOL:
-        raise ZeroOperator("the weighted gap bound is undefined for the zero operator")
-    ok, measured = check_disk(t, cert)
-    alam = abs(cert.lam)
-    extra = ""
-    if alam <= cert.r:
-        ok = False
-        extra = f"needs |lambda| > r, got |lambda| = {alam:.12g}, r = {cert.r:.12g}"
-    diag = _disk_diag(ok, measured, cert, extra)
-    root = float(np.sqrt(max(alam**2 - cert.r**2, 0.0)))
-    rhs = 2.0 * cert.r**2 * w / (alam + root)
-    return _report("T4_2", ok, diag, norm**2 - w**2, rhs, w, norm)
+    return _pick(_disk_reports(t, cert, w, norm), "T4_2")
 
 
 def eval_sector_gap_weighted(a, s: SectorPair, *, w=None, norm=None):
     """Report C4_6: squared-gap bound weighted by w, for a sector pair."""
-    re_prod = float((s.phi * np.conj(s.varphi)).real)
-    if re_prod <= 0:
-        raise InvalidSector(
-            f"needs Re(phi * conj(varphi)) > 0, got {re_prod:.12g}"
-        )
-    a = as_matrix(a)
-    w, norm = _radius_and_norm(a, w, norm)
-    ok, diag = _sector_diag(a, s)
-    rhs = (abs(s.phi + s.varphi) - 2.0 * np.sqrt(re_prod)) * w
-    return _report("C4_6", ok, diag, norm**2 - w**2, rhs, w, norm)
+    return _pick(_sector_reports(a, s, w, norm), "C4_6")
 
 
 def eval_segment_bounds(a, s: SectorPair, *, w=None, norm=None):
@@ -439,65 +448,27 @@ def eval_segment_bounds(a, s: SectorPair, *, w=None, norm=None):
     The hypothesis is the sector check for (varphi, phi) = (m, M); R4_9 is a
     ratio bound (lhs = norm/w), the others bound differences.
     """
-    seg = s.segment()
-    if seg is None:
-        raise InvalidInterval("segment bounds need real endpoints")
-    m, M = seg
-    if not (0 < m <= M):
-        raise InvalidInterval(f"needs M >= m > 0, got m = {m:.12g}, M = {M:.12g}")
-    a = as_matrix(a)
-    w, norm = _radius_and_norm(a, w, norm)
-    if norm <= ZERO_NORM_TOL:
-        raise ZeroOperator("segment bounds are undefined for the zero operator")
-    ok, diag = _sector_diag(a, s)
-    root_mm = float(np.sqrt(m * M))
-    droot = (np.sqrt(M) - np.sqrt(m)) ** 2
-    return (
-        _report("R4_9", ok, diag, norm / w, (M + m) / (2.0 * root_mm), w, norm),
-        _report("R4_10", ok, diag, norm - w, droot / (2.0 * root_mm) * w, w, norm),
-        _report("R4_11", ok, diag, norm**2 - w**2, droot * w, w, norm),
-        _report("R4_12", ok, diag, norm - w, 0.25 * (M - m) ** 2 / (M + m), w, norm),
-    )
+    return _pick(_sector_reports(a, s, w, norm), "R4_9", "R4_10", "R4_11", "R4_12")
 
 
 def verify_all(t, certs, *, w=None, norm=None) -> list[InequalityReport]:
     """Run every applicable evaluator for each certificate.
 
-    The radius and norm are computed once and shared. Hypothesis failures are
-    recorded in the reports; evaluators that are structurally inapplicable to
-    a certificate (zero operator, nonpositive Re(phi * conj(varphi)), missing
-    real segment) are skipped rather than raised. Reports come back sorted by
-    the canonical identifier order, stably over certificates.
+    The radius and norm are computed once and shared, and each certificate's
+    hypothesis is checked once. Hypothesis failures are recorded in the
+    reports; bounds that are structurally inapplicable to a certificate (zero
+    operator, nonpositive Re(phi * conj(varphi)), missing real segment) are
+    skipped rather than raised. Reports come back sorted by the canonical
+    identifier order, stably over certificates.
     """
-    t = as_matrix(t)
-    w, norm = _radius_and_norm(t, w, norm)
-    reports: list[InequalityReport] = []
-    for cert in certs:
-        if isinstance(cert, DiskCertificate):
-            reports.extend(eval_disk_bound(t, cert, w=w, norm=norm))
-            reports.append(eval_disk_gap_squared(t, cert, w=w, norm=norm))
-            try:
-                reports.extend(eval_radius_ratio(t, cert, w=w, norm=norm))
-                reports.append(eval_disk_gap_weighted(t, cert, w=w, norm=norm))
-            except ZeroOperator:
-                pass
-        elif isinstance(cert, SectorPair):
-            reports.append(eval_sector_gap(t, cert, w=w, norm=norm))
-            try:
-                reports.extend(eval_sector_ratio(t, cert, w=w, norm=norm))
-                reports.append(eval_sector_gap_weighted(t, cert, w=w, norm=norm))
-            except (InvalidSector, ZeroOperator):
-                pass
-            seg = cert.segment()
-            if seg is not None and 0 < seg[0] <= seg[1]:
-                try:
-                    reports.extend(eval_segment_bounds(t, cert, w=w, norm=norm))
-                except ZeroOperator:
-                    pass
-        else:
-            raise TypeError(f"unsupported certificate type {type(cert).__name__}")
-    reports.sort(key=lambda rep: _ID_ORDER[rep.inequality_id])
-    return reports
+    t, w, norm = _prepared(t, w, norm)
+    reports = [
+        rep
+        for cert in certs
+        for rep in _reports(t, cert, w, norm).values()
+        if isinstance(rep, InequalityReport)
+    ]
+    return sorted(reports, key=lambda rep: _ID_ORDER[rep.inequality_id])
 
 
 def optimize_lambda(t, *, coarse: int = 32, step_tol: float = 1e-8, pad: float = 1e-9) -> DiskCertificate:

@@ -47,11 +47,11 @@ def orthogonal_ranges_check(t) -> bool:
 
     For matrices this is the same as T^2 = 0: <Tf, T*g> = <T^2 f, g> for all
     f and g, so the ranges are orthogonal exactly when T^2 vanishes. Tested
-    as ||T^2||_F <= 1e-10 * max(1, ||T||_F^2).
+    relative to the scale of T, as ||T^2||_F <= 1e-10 * ||T||_F^2.
     """
     t = as_matrix(t)
     sq = float(np.linalg.norm(t @ t))
-    return sq <= 1e-10 * max(1.0, float(np.linalg.norm(t)) ** 2)
+    return sq <= 1e-10 * float(np.linalg.norm(t)) ** 2
 
 
 def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,16 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DimensionMismatch",
     "NotHermitian",
     "NoConvergence",
     "HermitianEigen",
     "as_matrix",
-    "identity",
     "adjoint",
-    "add",
-    "matmul",
-    "scale",
     "shift",
     "hermitian_eigen",
     "operator_norm",
@@ -36,10 +31,6 @@ HERMITIAN_RTOL = 1e-10
 # against its top eigenvalue, which is at least 1/n of the squared norm.
 _GRAM_MIN = 2.0**-900
 _GRAM_MAX = 2.0**900
-
-
-class DimensionMismatch(ValueError):
-    """Operands have incompatible shapes."""
 
 
 class NotHermitian(ValueError):
@@ -63,31 +54,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(int(n), dtype=complex)
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose. An involution: adjoint(adjoint(a)) == a exactly."""
     return as_matrix(a).conj().T
-
-
-def add(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def scale(alpha, a) -> np.ndarray:
-    return complex(alpha) * as_matrix(a)
 
 
 def shift(a, lam) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from numrad import bounds
 from numrad.bounds import (
     ACCRETIVE,
     OPERATOR_ORDER,
@@ -127,6 +128,18 @@ def test_sector_order_mode_rejects_nonnormal():
     s_ord = SectorPair(phi=4.0, varphi=0.1, mode=OPERATOR_ORDER)
     assert check_sector_hypothesis(a, s_acc)[0]
     assert not check_sector_hypothesis(a, s_ord)[0]
+
+
+@pytest.mark.parametrize("mode", [ACCRETIVE, OPERATOR_ORDER])
+def test_sector_hypothesis_verdict_is_scale_invariant(mode):
+    # Unit scale: min eig -0.24 fails; at 1e-6 it is -2.4e-13, which only a
+    # tolerance relative to the operands also rejects.
+    outside = np.array([[1.0, 0.5], [0.0, 1.5]])
+    inside, _ = gen_segment_instance(1.0, 4.0, 3, 0)
+    for a, m, M, verdict in ((outside, 0.9, 1.6, False), (inside, 1.0, 4.0, True)):
+        for scale in (1.0, 1e-6, 1e-150):
+            s = SectorPair.from_segment(scale * m, scale * M, mode=mode)
+            assert check_sector_hypothesis(scale * a, s)[0] is verdict
 
 
 def test_sector_to_disk():
@@ -355,6 +368,23 @@ def test_segment_bounds_invalid_intervals():
         eval_segment_bounds(np.eye(2), SectorPair(phi=1 + 1j, varphi=1 - 1j))
 
 
+def test_evaluators_raise_for_undefined_bounds():
+    zero = np.zeros((2, 2))
+    seg = SectorPair.from_segment(1.0, 4.0)
+    opposite = SectorPair(phi=-1.0, varphi=1.0)
+    for fn, a, cert, exc in [
+        (eval_disk_gap_weighted, zero, DiskCertificate(lam=1.0, r=0.5), ZeroOperator),
+        (eval_sector_ratio, zero, seg, ZeroOperator),
+        (eval_sector_ratio, zero, opposite, InvalidSector),
+        (eval_sector_gap_weighted, np.eye(2), opposite, InvalidSector),
+        (eval_segment_bounds, zero, seg, ZeroOperator),
+        (eval_segment_bounds, zero, SectorPair.from_segment(-1.0, 4.0), InvalidInterval),
+    ]:
+        with pytest.raises(exc):
+            fn(a, cert)
+    assert eval_sector_gap_weighted(zero, seg).inequality_id == "C4_6"
+
+
 # ------------------------------------------------------------- verify_all
 
 
@@ -395,6 +425,41 @@ def test_verify_all_zero_operator_skips_ratios():
     ids = {rep.inequality_id for rep in reps}
     assert "T3_2" not in ids and "T4_2" not in ids
     assert "T2_2" in ids
+
+
+def test_verify_all_zero_operator_keeps_c4_6():
+    # C4_6 has no zero-norm precondition, unlike the ratio and segment bounds.
+    reps = verify_all(np.zeros((2, 2)), [SectorPair.from_segment(1, 4)])
+    assert [rep.inequality_id for rep in reps] == ["C2_7", "C4_6"]
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-150])
+def test_verify_all_identifiers_are_scale_invariant(scale):
+    a, _ = gen_segment_instance(1.0, 4.0, 3, 0)
+    for t, cert in [
+        (np.eye(2), DiskCertificate(lam=1.0, r=0.5)),
+        (a, SectorPair.from_segment(1.0, 4.0)),
+    ]:
+        if isinstance(cert, DiskCertificate):
+            small = DiskCertificate(lam=scale * cert.lam, r=scale * cert.r)
+        else:
+            small = SectorPair.from_segment(scale * cert.varphi.real, scale * cert.phi.real)
+        ids = [rep.inequality_id for rep in verify_all(t, [cert])]
+        assert [rep.inequality_id for rep in verify_all(scale * t, [small])] == ids
+        assert len(ids) in (6, 8)
+
+
+def test_verify_all_checks_each_hypothesis_once(monkeypatch):
+    calls = []
+    for name in ("check_disk", "check_sector_hypothesis"):
+        checker = getattr(bounds, name)
+        monkeypatch.setattr(
+            bounds, name, lambda *args, _name=name, _fn=checker: calls.append(_name) or _fn(*args)
+        )
+    a, s = gen_segment_instance(1.0, 4.0, 3, 0)
+    reps = verify_all(a, [s, sector_to_disk(s)])
+    assert len(reps) == 14
+    assert sorted(calls) == ["check_disk", "check_sector_hypothesis"]
 
 
 # ------------------------------------------------------ consistency checks

@@ -45,6 +45,10 @@ def test_orthogonal_ranges():
     assert orthogonal_ranges_check(shift2())
     assert not orthogonal_ranges_check(np.eye(2))
     assert orthogonal_ranges_check(np.array([[0.0, 3.7], [0.0, 0.0]]))
+    # relative to the scale of T: T^2 = 1e-12 [[1, 2], [0, 1]] is not zero
+    assert not orthogonal_ranges_check(1e-6 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert orthogonal_ranges_check(1e150 * shift2())
+    assert orthogonal_ranges_check(1e-150 * shift2())
 
 
 def test_half_norm_property_for_square_zero():

@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from numrad.linalg import (
-    DimensionMismatch,
     NotHermitian,
-    add,
     adjoint,
     as_matrix,
     hermitian_eigen,
-    identity,
-    matmul,
     operator_norm,
-    scale,
     shift,
     shifted_norms,
 )
@@ -77,7 +72,8 @@ def test_as_matrix_rejects_nonfinite():
 
 
 def test_adjoint_identity():
-    assert np.array_equal(adjoint(identity(2)), identity(2))
+    eye = np.eye(2, dtype=complex)
+    assert np.array_equal(adjoint(eye), eye)
 
 
 def test_adjoint_real_shift():
@@ -101,29 +97,6 @@ def test_shift_by_zero_is_identity_map():
     rng = np.random.default_rng(4)
     a = rand_matrix(rng, 3)
     assert np.array_equal(shift(a, 0.0), a)
-
-
-def test_identity_is_neutral_for_matmul():
-    rng = np.random.default_rng(5)
-    a = rand_matrix(rng, 3)
-    assert np.allclose(matmul(identity(3), a), a, atol=0)
-
-
-def test_shift2_squares_to_zero():
-    s = np.array([[0, 0], [1, 0]], dtype=complex)
-    assert np.array_equal(matmul(s, s), np.zeros((2, 2)))
-
-
-def test_scale_and_add():
-    a = np.array([[1, 0], [0, 1]], dtype=complex)
-    assert np.array_equal(add(a, scale(-1, a)), np.zeros((2, 2)))
-
-
-def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        add(np.zeros((2, 2)), np.zeros((3, 3)))
-    with pytest.raises(DimensionMismatch):
-        matmul(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 # ------------------------------------------------------------ hermitian_eigen
@@ -185,7 +158,7 @@ def test_eigen_accepts_tiny_asymmetry():
 
 
 def test_norm_identity():
-    assert operator_norm(identity(2)) == 1.0
+    assert operator_norm(np.eye(2, dtype=complex)) == 1.0
 
 
 def test_norm_single_unit_entry():
