@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, operator_norm, shift, shifted_norms
+from .linalg import as_matrix, operator_norm, pow2_scaled, shifted_norms
 from .numrange import numerical_radius
 
 __all__ = [
@@ -170,8 +170,13 @@ class SectorPair:
         return cls(phi=complex(M), varphi=complex(m), mode=mode)
 
     def segment(self) -> tuple[float, float] | None:
-        """(m, M) when both endpoints are essentially real, else None."""
-        if abs(self.phi.imag) <= 1e-12 and abs(self.varphi.imag) <= 1e-12:
+        """(m, M) when both endpoints are essentially real, else None.
+
+        Essentially real means an imaginary part of at most 1e-12 times the
+        larger endpoint modulus, so the verdict does not depend on scale.
+        """
+        tol = 1e-12 * max(abs(self.phi), abs(self.varphi))
+        if abs(self.phi.imag) <= tol and abs(self.varphi.imag) <= tol:
             return (self.varphi.real, self.phi.real)
         return None
 
@@ -226,8 +231,11 @@ def _report(iid, ok, diag, lhs, rhs, w, norm, flag=None):
 
 
 def check_disk(t, cert: DiskCertificate) -> tuple[bool, float]:
-    """Measure ||T - lambda I|| and compare against the certified radius."""
-    measured = operator_norm(shift(t, cert.lam))
+    """Measure ||T - lambda I|| and compare against the certified radius.
+
+    The measurement uses the kernel that `optimize_lambda` fits with.
+    """
+    measured = float(shifted_norms(as_matrix(t), [cert.lam])[0])
     return measured <= cert.r + DISK_TOL, measured
 
 
@@ -471,21 +479,23 @@ def verify_all(t, certs, *, w=None, norm=None) -> list[InequalityReport]:
     return sorted(reports, key=lambda rep: _ID_ORDER[rep.inequality_id])
 
 
-def optimize_lambda(t, *, coarse: int = 32, step_tol: float = 1e-8, pad: float = 1e-9) -> DiskCertificate:
+def optimize_lambda(t) -> DiskCertificate:
     """Search for a center approximately minimizing ||T - lambda I||.
 
-    A coarse grid over the disk |lambda| <= 2 ||T|| seeds axis-aligned
-    coordinate descent with halving steps down to step_tol. The measured
-    radius is padded by `pad` so check_disk passes on the returned
-    certificate, and the center is kept away from exactly zero so the
-    certificate remains usable by the evaluators.
+    A 32-point grid over the disk |lambda| <= 2 ||T|| seeds axis-aligned
+    coordinate descent with halving steps down to 1e-8. The measured radius
+    is padded by 1e-9 so check_disk passes on the returned certificate, and
+    the center is kept away from exactly zero so the certificate remains
+    usable by the evaluators. The fit runs on T scaled by a power of two
+    (see `pow2_scaled`), so the step floor and the pad are relative to the
+    largest entry of T, and the certificate of 2^k T is exactly 2^k times
+    that of T.
     """
-    t = as_matrix(t)
-    big = operator_norm(t)
-    cap = 2.0 * big if big > 0 else 1e-6
+    t, e = pow2_scaled(as_matrix(t))
+    cap = 2.0 * operator_norm(t) or 1e-6
 
-    # coarse is even, so the grid never contains exactly 0.
-    xs = np.linspace(-cap, cap, int(coarse))
+    # The grid size is even, so the grid never contains exactly 0.
+    xs = np.linspace(-cap, cap, 32)
     re, im = np.meshgrid(xs, xs)
     cand = (re + 1j * im).ravel()
     cand = cand[np.abs(cand) <= cap]
@@ -493,8 +503,8 @@ def optimize_lambda(t, *, coarse: int = 32, step_tol: float = 1e-8, pad: float =
     k = int(np.argmin(vals))
     lam, best = complex(cand[k]), float(vals[k])
 
-    step = 2.0 * cap / (int(coarse) - 1)
-    while step > step_tol:
+    step = 2.0 * cap / 31
+    while step > 1e-8:
         moves = np.array([lam + step, lam - step, lam + 1j * step, lam - 1j * step])
         mv = shifted_norms(t, moves)
         j = int(np.argmin(mv))
@@ -502,4 +512,5 @@ def optimize_lambda(t, *, coarse: int = 32, step_tol: float = 1e-8, pad: float =
             lam, best = complex(moves[j]), float(mv[j])
         else:
             step *= 0.5
-    return DiskCertificate(lam=lam, r=best + pad)
+    lam = complex(np.ldexp(lam.real, e), np.ldexp(lam.imag, e))
+    return DiskCertificate(lam=lam, r=float(np.ldexp(best + 1e-9, e)))

@@ -175,11 +175,15 @@ def cmd_verify(args) -> int:
         if args.lam is None or args.r is None:
             raise ValueError("--lambda and --r must be given together")
         certs.append(DiskCertificate(lam=args.lam, r=args.r, rho=args.rho))
+    elif args.rho is not None:
+        raise ValueError("--rho needs --lambda and --r")
     if (args.phi is None) != (args.varphi is None):
         raise ValueError("--phi and --varphi must be given together")
     if args.phi is not None:
         mode = OPERATOR_ORDER if args.order else ACCRETIVE
         certs.append(SectorPair(phi=args.phi, varphi=args.varphi, mode=mode))
+    elif args.order:
+        raise ValueError("--order needs --phi and --varphi")
     if not certs:
         raise ValueError("nothing to verify: pass --auto, --lambda/--r, or --phi/--varphi")
     reports = verify_all(a, certs)

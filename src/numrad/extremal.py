@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import DiskCertificate, SectorPair
-from .linalg import as_matrix, operator_norm, shift, shifted_norms
+from .linalg import as_matrix, operator_norm, shifted_norms
 
 __all__ = [
     "SearchResult",
@@ -151,7 +151,7 @@ def candidate_violations(t, lam) -> tuple[float, float, float]:
     lam = complex(lam)
     norm_dev = abs(operator_norm(t) - 1.0)
     nilpotency = operator_norm(t @ t)
-    disk_excess = max(0.0, operator_norm(shift(t, lam)) - float(np.sqrt(abs(lam))))
+    disk_excess = max(0.0, float(shifted_norms(t, [lam])[0]) - float(np.sqrt(abs(lam))))
     return norm_dev, nilpotency, disk_excess
 
 

@@ -121,16 +121,16 @@ def search_result_to_obj(res) -> dict:
     }
 
 
-def write_boundary_svg(path, summary, size: int = 640) -> None:
-    """Static SVG 1.1 plot: boundary polygon plus circles of radius w and norm."""
+def write_boundary_svg(path, summary) -> None:
+    """Static 640 x 640 SVG 1.1 plot: boundary polygon plus circles of radius w and norm.
+
+    The plot is scaled to the matrix, so 2^k A gives the same file as A. Only
+    the zero matrix, whose extent is 0, gets the floor of 1e-12.
+    """
     b = summary.boundary
-    extent = max(
-        summary.norm,
-        summary.radius,
-        float(np.abs(b.points).max()) if len(b.points) else 0.0,
-        1e-12,
-    )
-    s = 1.15 * extent
+    points = float(np.abs(b.points).max()) if len(b.points) else 0.0
+    s = 1.15 * (max(summary.norm, summary.radius, points) or 1e-12)
+    size = 640
     half = size / 2.0
 
     def px(z: complex) -> tuple[float, float]:

@@ -107,38 +107,47 @@ def pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
 
 
+def _spectral_norms(s: np.ndarray):
+    """Spectral norms of a square matrix, or of each matrix in a stack (..., n, n).
+
+    Each norm is the sqrt of the top eigenvalue of S*S. The product S*S is
+    exactly Hermitian in floating point, so the values-only Hermitian kernel
+    applies directly. Squaring costs a few digits near the bottom of the
+    spectrum but is harmless for the top singular value. The squared
+    Frobenius norm of S brackets that top eigenvalue within a factor n; when
+    it leaves [_GRAM_MIN, _GRAM_MAX], S*S would under- or overflow, and S is
+    first scaled by a power of two (see `pow2_scaled`). A stack is scaled as
+    a whole, so a norm far below the largest in its stack loses accuracy
+    first. An all-zero input skips the eigensolver: the searches measure an
+    exactly zero T^2 on every trial.
+    """
+    e = 0
+    fro2 = float(np.vdot(s, s).real)
+    if not _GRAM_MIN <= fro2 <= _GRAM_MAX:
+        if not s.any():
+            return np.zeros(s.shape[:-2])
+        s, e = pow2_scaled(s)
+    try:
+        top = np.linalg.eigvalsh(s.conj().swapaxes(-1, -2) @ s)[..., -1]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
+
+
 def operator_norm(a) -> float:
     """Spectral norm, the largest singular value.
 
-    Computed as sqrt of the top eigenvalue of A*A. The product A*A is exactly
-    Hermitian in floating point, so the values-only Hermitian kernel applies
-    directly. Squaring costs a few digits near the bottom of the spectrum but
-    is harmless for the top singular value. The squared Frobenius norm
-    brackets that top eigenvalue within a factor n; when it leaves
-    [_GRAM_MIN, _GRAM_MAX], A*A would under- or overflow, and A is first
-    scaled by a power of two (see `pow2_scaled`).
+    A is scaled by a power of two first when A*A would under- or overflow, so
+    the norm stays accurate from 1e-170 to 1e160 and beyond.
     """
-    a = as_matrix(a)
-    e = 0
-    fro2 = float(np.vdot(a, a).real)
-    if not _GRAM_MIN <= fro2 <= _GRAM_MAX:
-        if not a.any():
-            return 0.0
-        a, e = pow2_scaled(a)
-    try:
-        top = float(np.linalg.eigvalsh(a.conj().T @ a)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return float(np.ldexp(np.sqrt(max(top, 0.0)), e))
+    return float(_spectral_norms(as_matrix(a)))
 
 
 def shifted_norms(t: np.ndarray, lams) -> np.ndarray:
     """Spectral norms ||T - lam I|| of a square complex ndarray T, one per lam.
 
-    One batched Hermitian sweep over the Gram matrices of the shifted stack;
-    no scaling, so meant for matrices of moderate size entries.
+    One batched Hermitian sweep over the Gram matrices of the shifted stack,
+    with the scaling guard of `operator_norm`.
     """
     lams = np.asarray(lams, dtype=complex)
-    stack = t - lams[:, None, None] * np.eye(t.shape[0])
-    gram = stack.conj().swapaxes(-1, -2) @ stack
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
+    return _spectral_norms(t - lams[:, None, None] * np.eye(t.shape[0]))

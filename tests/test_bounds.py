@@ -75,6 +75,7 @@ def test_sector_pair_modes_and_segment():
     assert s.mode == OPERATOR_ORDER
     assert s.segment() == (1.0, 4.0)
     assert SectorPair(phi=1 + 1j, varphi=1 - 1j).segment() is None
+    assert SectorPair.from_segment(1e-13, 4e-13).segment() == (1e-13, 4e-13)
 
 
 # --------------------------------------------------------------- check_disk
@@ -436,17 +437,19 @@ def test_verify_all_zero_operator_keeps_c4_6():
 @pytest.mark.parametrize("scale", [1e-15, 1e-150])
 def test_verify_all_identifiers_are_scale_invariant(scale):
     a, _ = gen_segment_instance(1.0, 4.0, 3, 0)
-    for t, cert in [
-        (np.eye(2), DiskCertificate(lam=1.0, r=0.5)),
-        (a, SectorPair.from_segment(1.0, 4.0)),
+    for t, cert, count in [
+        (np.eye(2), DiskCertificate(lam=1.0, r=0.5), 6),
+        (a, SectorPair.from_segment(1.0, 4.0), 8),
+        # Not a real segment at any scale: only C2_7 is defined.
+        (np.eye(2), SectorPair(phi=1 + 1j, varphi=1 - 1j), 1),
     ]:
         if isinstance(cert, DiskCertificate):
             small = DiskCertificate(lam=scale * cert.lam, r=scale * cert.r)
         else:
-            small = SectorPair.from_segment(scale * cert.varphi.real, scale * cert.phi.real)
+            small = SectorPair(scale * cert.phi, scale * cert.varphi, cert.mode)
         ids = [rep.inequality_id for rep in verify_all(t, [cert])]
         assert [rep.inequality_id for rep in verify_all(scale * t, [small])] == ids
-        assert len(ids) in (6, 8)
+        assert len(ids) == count
 
 
 def test_verify_all_checks_each_hypothesis_once(monkeypatch):
@@ -562,3 +565,14 @@ def test_optimize_lambda_shift2_no_worse_than_origin():
     assert cert.lam != 0
     ok, _ = check_disk(shift2(), cert)
     assert ok
+
+
+def test_optimize_lambda_is_exactly_scale_equivariant():
+    t, _ = gen_disk_instance(1.5 + 0.5j, 0.3, 4, 0)
+    cert = optimize_lambda(t)
+    for k in (1, -1, 300, -300, 1000, -1000):
+        scaled = np.ldexp(t.real, k) + 1j * np.ldexp(t.imag, k)
+        got = optimize_lambda(scaled)
+        assert got.lam == complex(np.ldexp(cert.lam.real, k), np.ldexp(cert.lam.imag, k))
+        assert got.r == np.ldexp(cert.r, k)
+        assert check_disk(scaled, got)[0]

@@ -7,7 +7,7 @@ import pytest
 
 import numrad.cli as cli
 from numrad.bounds import InequalityReport
-from numrad.extremal import shift2
+from numrad.extremal import gen_disk_instance, shift2
 from numrad.io import save_matrix
 
 
@@ -96,6 +96,18 @@ def test_verify_rho_flag(s2_file, capsys):
     assert by_id["C2_13"]["hypothesis_ok"]
 
 
+@pytest.mark.parametrize("scale", [1e-30, 1e150])
+def test_verify_auto_certificate_passes_its_own_check_at_extreme_scales(tmp_path, scale, capsys):
+    a, _ = gen_disk_instance(1.5 + 0.5j, 0.3, 4, 0)
+    path = tmp_path / "a.json"
+    save_matrix(path, scale * a)
+    assert run_cli("verify", path, "--auto") == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert reports[0]["inequality_id"] == "T2_2"
+    assert len(reports) == 6
+    assert all(rep["hypothesis_ok"] for rep in reports)
+
+
 def test_verify_negative_slack_exits_one(s2_file, monkeypatch, capsys):
     bogus = InequalityReport(
         inequality_id="T2_2", hypothesis_ok=True, diagnostic="forged", lhs=1.0,
@@ -139,6 +151,16 @@ def test_bad_complex_syntax_exits_two(s2_file, capsys):
 def test_lambda_without_radius_exits_two(s2_file, capsys):
     assert run_cli("verify", s2_file, "--lambda", "1,0") == 2
     capsys.readouterr()
+
+
+def test_rho_without_disk_exits_two(s2_file, capsys):
+    assert run_cli("verify", s2_file, "--auto", "--rho", "0.3") == 2
+    assert "--rho" in capsys.readouterr().err
+
+
+def test_order_without_sector_exits_two(s2_file, capsys):
+    assert run_cli("verify", s2_file, "--auto", "--order") == 2
+    assert "--order" in capsys.readouterr().err
 
 
 def test_verify_without_certificates_exits_two(s2_file, capsys):

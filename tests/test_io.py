@@ -124,3 +124,17 @@ def test_svg_is_well_formed(tmp_path):
     tags = [child.tag.split("}")[-1] for child in root]
     assert tags.count("circle") == 2
     assert "polygon" in tags
+
+
+def test_svg_is_scale_free(tmp_path):
+    a, _ = gen_disk_instance(1.5 + 0.5j, 0.3, 3, 0)
+    texts = []
+    for k in (0, -45, -200):
+        path = tmp_path / f"plot{k}.svg"
+        write_boundary_svg(path, range_summary(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k), 64))
+        texts.append(path.read_text())
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    zero = tmp_path / "zero.svg"
+    write_boundary_svg(zero, range_summary(np.zeros((2, 2)), n_theta=8))
+    tags = [child.tag.split("}")[-1] for child in ET.parse(zero).getroot()]
+    assert tags.count("circle") == 2 and "polygon" in tags

@@ -190,14 +190,18 @@ def test_hermitian_norm_is_max_abs_eigenvalue():
 @pytest.mark.parametrize("scale_", [1e-170, 1e-150, 1e150, 1e160])
 def test_norm_sandwich_holds_at_extreme_scales(scale_):
     a = scale_ * np.array([[1, 2], [0, 1j]])
+    lams = np.array([0.0, 1.0, 1j, -0.5 + 2j])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         nrm = operator_norm(a)
         w = numerical_radius(a)
+        shifted = shifted_norms(a, scale_ * lams)
     assert w > 0.0
     assert w <= nrm * (1 + 1e-12)
     assert nrm <= 2.0 * w * (1 + 1e-12)
     assert abs(nrm / scale_ - operator_norm([[1, 2], [0, 1j]])) <= 1e-12 * nrm / scale_
+    unit = shifted_norms(np.array([[1, 2], [0, 1j]], dtype=complex), lams)
+    assert np.all(np.abs(shifted - scale_ * unit) <= 1e-15 * scale_ * unit)
 
 
 def test_norm_of_zero_matrix():
@@ -206,8 +210,12 @@ def test_norm_of_zero_matrix():
 
 def test_shifted_norms_match_one_norm_per_shift():
     rng = np.random.default_rng(23)
-    for n in (1, 3, 5):
-        t = rand_matrix(rng, n)
-        lams = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        expected = [operator_norm(shift(t, lam)) for lam in lams]
-        assert np.allclose(shifted_norms(t, lams), expected, rtol=1e-13, atol=0.0)
+    for scale_ in (1.0, 1e-170, 1e-150, 1e150, 1e160):
+        for n in (1, 3, 5):
+            t = scale_ * rand_matrix(rng, n)
+            lams = scale_ * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                norms = shifted_norms(t, lams)
+                expected = [operator_norm(shift(t, lam)) for lam in lams]
+            assert np.allclose(norms, expected, rtol=1e-13, atol=0.0)
