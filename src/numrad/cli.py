@@ -279,6 +279,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: the norm is beyond the range the report formulas support ({exc})",
+              file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -17,7 +17,6 @@ __all__ = [
     "HermitianEigen",
     "as_matrix",
     "adjoint",
-    "shift",
     "hermitian_eigen",
     "operator_norm",
 ]
@@ -57,12 +56,6 @@ def as_matrix(a) -> np.ndarray:
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose. An involution: adjoint(adjoint(a)) == a exactly."""
     return as_matrix(a).conj().T
-
-
-def shift(a, lam) -> np.ndarray:
-    """A - lam * I."""
-    a = as_matrix(a)
-    return a - complex(lam) * np.eye(a.shape[0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -146,8 +139,10 @@ def operator_norm(a) -> float:
 def shifted_norms(t: np.ndarray, lams) -> np.ndarray:
     """Spectral norms ||T - lam I|| of a square complex ndarray T, one per lam.
 
-    One batched Hermitian sweep over the Gram matrices of the shifted stack,
-    with the scaling guard of `operator_norm`.
+    T may also be a stack (..., n, n); the result then has shape
+    (..., len(lams)). One batched Hermitian sweep over the Gram matrices of
+    the shifted stack, with the scaling guard of `operator_norm`. A stack is
+    pow2-guarded as a whole, like every input of `_spectral_norms`.
     """
     lams = np.asarray(lams, dtype=complex)
-    return _spectral_norms(t - lams[:, None, None] * np.eye(t.shape[0]))
+    return _spectral_norms(t[..., None, :, :] - lams[:, None, None] * np.eye(t.shape[-1]))

@@ -108,6 +108,18 @@ def test_verify_auto_certificate_passes_its_own_check_at_extreme_scales(tmp_path
     assert all(rep["hypothesis_ok"] for rep in reports)
 
 
+def test_verify_beyond_the_report_range_exits_two(tmp_path, capsys):
+    # r**2 overflows in the report formulas above ||A|| of about 1.3e154;
+    # that is malformed input for them, not a bound violation (exit 1)
+    a, _ = gen_disk_instance(1.5 + 0.5j, 0.3, 4, 0)
+    path = tmp_path / "a.json"
+    save_matrix(path, 1e155 * a)
+    assert run_cli("verify", path, "--auto") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "beyond the range the report formulas support" in err
+
+
 def test_verify_negative_slack_exits_one(s2_file, monkeypatch, capsys):
     bogus = InequalityReport(
         inequality_id="T2_2", hypothesis_ok=True, diagnostic="forged", lhs=1.0,

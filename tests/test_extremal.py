@@ -17,8 +17,8 @@ from numrad.extremal import (
     search_sqrt_disk,
     shift2,
 )
-from numrad.extremal import _disk_instance
-from numrad.linalg import hermitian_eigen, operator_norm
+from numrad.extremal import _CHUNK, SearchResult, _disk_instance
+from numrad.linalg import hermitian_eigen, operator_norm, shifted_norms
 from numrad.numrange import numerical_radius
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # ||S2 - I|| in closed form
@@ -206,6 +206,58 @@ def test_probe_best_dominates_raw_shift():
     res = probe_equality_case(2, 500, seed=1)
     _, _, s2_excess = candidate_violations(shift2(), 1.0)
     assert res.score <= s2_excess + 1e-12
+
+
+def _search_one_trial_at_a_time(n, iters, seed, lam_values, allowed):
+    """Reference loop: one generator, one norm call per quantity and one
+    strict comparison per trial, which the chunked search matches bit for
+    bit."""
+    best = None
+    for trial in range(iters):
+        rng = np.random.default_rng([seed, trial])
+        k = int(rng.integers(1, n))
+        t = np.zeros((n, n), dtype=complex)
+        t[k:, :k] = rng.standard_normal((n - k, k)) + 1j * rng.standard_normal((n - k, k))
+        nrm = operator_norm(t)
+        if nrm == 0.0:
+            continue
+        t /= nrm
+        excess = np.maximum(0.0, shifted_norms(t, lam_values) - allowed)
+        j = int(np.argmin(excess))
+        res = SearchResult(
+            candidate=t,
+            lam=complex(lam_values[j]),
+            norm_dev=abs(operator_norm(t) - 1.0),
+            nilpotency=operator_norm(t @ t),
+            disk_excess=float(excess[j]),
+        )
+        if best is None or res.score < best.score:
+            best = res
+    return best
+
+
+@pytest.mark.parametrize("equality", [False, True], ids=["sqrt_disk", "equality"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chunked_search_is_bit_identical_to_one_trial_at_a_time(equality, n):
+    # n = 2 equality covers ties: every 2x2 candidate is unitarily similar to
+    # S2, so the scores tie up to roundoff and only the earliest-trial rule
+    # picks the same bytes
+    if equality:
+        lam_values, allowed = np.array([1.0]), np.ones(1)
+    else:
+        lam_values, allowed = DEFAULT_LAMBDA_GRID, np.sqrt(DEFAULT_LAMBDA_GRID)
+    for iters in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+        if equality:
+            got = probe_equality_case(n, iters, seed=17)
+        else:
+            got = search_sqrt_disk(n, iters, seed=17)
+        want = _search_one_trial_at_a_time(n, iters, 17, lam_values, allowed)
+        assert got.candidate.tobytes() == want.candidate.tobytes()
+        assert got.lam == want.lam
+        assert got.norm_dev == want.norm_dev
+        assert got.nilpotency == want.nilpotency
+        assert got.disk_excess == want.disk_excess
+        assert got.candidate.flags.owndata
 
 
 def test_search_validation():

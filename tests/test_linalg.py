@@ -11,7 +11,6 @@ from numrad.linalg import (
     as_matrix,
     hermitian_eigen,
     operator_norm,
-    shift,
     shifted_norms,
 )
 from numrad.numrange import numerical_radius
@@ -88,15 +87,6 @@ def test_adjoint_involution_exact():
     rng = np.random.default_rng(3)
     a = rand_matrix(rng, 5)
     assert np.array_equal(adjoint(adjoint(a)), a)
-
-
-# ------------------------------------------------------------- arithmetic ops
-
-
-def test_shift_by_zero_is_identity_map():
-    rng = np.random.default_rng(4)
-    a = rand_matrix(rng, 3)
-    assert np.array_equal(shift(a, 0.0), a)
 
 
 # ------------------------------------------------------------ hermitian_eigen
@@ -217,5 +207,18 @@ def test_shifted_norms_match_one_norm_per_shift():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 norms = shifted_norms(t, lams)
-                expected = [operator_norm(shift(t, lam)) for lam in lams]
+                expected = [operator_norm(t - lam * np.eye(n)) for lam in lams]
             assert np.allclose(norms, expected, rtol=1e-13, atol=0.0)
+
+
+def test_shifted_norms_of_a_stack_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(29)
+    lams = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    for n in (1, 3, 5):
+        stack = np.stack([rand_matrix(rng, n) for _ in range(9)])
+        norms = shifted_norms(stack, lams)
+        assert norms.shape == (9, len(lams))
+        for i in range(len(stack)):
+            single = shifted_norms(stack[i], lams)
+            assert single.shape == (len(lams),)
+            assert norms[i].tobytes() == single.tobytes()
