@@ -46,7 +46,15 @@ def as_matrix(a) -> np.ndarray:
     Rejects non-square shapes, empty matrices, and non-finite entries.
     """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix with n >= 1, got shape {m.shape}")
+    return _as_stack(m)
+
+
+def _as_stack(a) -> np.ndarray:
+    """`as_matrix` for a square matrix or a stack of them, shape (..., n, n)."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError(f"expected a square matrix with n >= 1, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -89,15 +97,17 @@ def hermitian_eigen(a) -> HermitianEigen:
     return HermitianEigen(values=vals[::-1].copy(), vectors=vecs[:, ::-1].copy())
 
 
-def pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+def pow2_scaled(a: np.ndarray):
     """(A 2^-e, e) with the largest entry modulus of A 2^-e in [1/2, 1).
 
-    Scaling by a power of two is exact, so results computed from the scaled
-    matrix scale back exactly, and nothing built from it can over- or
-    underflow at desk sizes. The zero matrix comes back unchanged with e = 0.
+    Each matrix of a stack (..., n, n) is scaled by its own power of two, and
+    e then has shape a.shape[:-2]. Scaling by a power of two is exact, so
+    results computed from the scaled matrix scale back exactly, and nothing
+    built from it can over- or underflow at desk sizes. A zero matrix comes
+    back unchanged with e = 0.
     """
-    e = int(np.frexp(np.abs(a).max())[1])
-    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
+    e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
+    return np.ldexp(a.real, -e[..., None, None]) + 1j * np.ldexp(a.imag, -e[..., None, None]), e
 
 
 def _spectral_norms(s: np.ndarray):
@@ -109,9 +119,9 @@ def _spectral_norms(s: np.ndarray):
     spectrum but is harmless for the top singular value. The squared
     Frobenius norm of S brackets that top eigenvalue within a factor n; when
     it leaves [_GRAM_MIN, _GRAM_MAX], S*S would under- or overflow, and S is
-    first scaled by a power of two (see `pow2_scaled`). A stack is scaled as
-    a whole, so a norm far below the largest in its stack loses accuracy
-    first. An all-zero input skips the eigensolver: the searches measure an
+    first scaled by a power of two (see `pow2_scaled`). For a stack, that
+    test is on the whole stack, and each matrix then takes its own power of
+    two. An all-zero input skips the eigensolver: the searches measure an
     exactly zero T^2 on every trial.
     """
     e = 0
@@ -141,8 +151,8 @@ def shifted_norms(t: np.ndarray, lams) -> np.ndarray:
 
     T may also be a stack (..., n, n); the result then has shape
     (..., len(lams)). One batched Hermitian sweep over the Gram matrices of
-    the shifted stack, with the scaling guard of `operator_norm`. A stack is
-    pow2-guarded as a whole, like every input of `_spectral_norms`.
+    the shifted stack, with the scaling guard of `_spectral_norms`, which
+    decides on the whole stack.
     """
     lams = np.asarray(lams, dtype=complex)
     return _spectral_norms(t[..., None, :, :] - lams[:, None, None] * np.eye(t.shape[-1]))

@@ -24,18 +24,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import NoConvergence, as_matrix, operator_norm, pow2_scaled
+from .linalg import NoConvergence, _as_stack, as_matrix, operator_norm, pow2_scaled
 
 __all__ = [
     "Boundary",
     "RangeSummary",
-    "rotated_hermitian_part",
-    "support_values",
     "numerical_range_boundary",
     "numerical_radius",
     "numerical_radius_oracle",
     "range_summary",
-    "polygon_cross_products",
     "is_convex_polyline",
 ]
 
@@ -69,23 +66,19 @@ _ORACLE_STARTS = 4
 _ORACLE_STEPS = 2
 
 
-def rotated_hermitian_part(a, theta: float) -> np.ndarray:
-    """H(theta) = (e^{i theta} A + e^{-i theta} A*) / 2, Hermitian by construction."""
-    a = as_matrix(a)
-    ph = np.exp(1j * float(theta))
-    return 0.5 * (ph * a + np.conj(ph) * a.conj().T)
+def _hermitian_stack(a: np.ndarray, ac: np.ndarray, owner: np.ndarray, thetas) -> np.ndarray:
+    """H(theta) of matrix owner[p] of the stack a at angle thetas[p], for each p.
 
-
-def _hermitian_stack(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    ph = np.exp(1j * np.asarray(thetas, dtype=float))
-    return 0.5 * (ph[:, None, None] * a + np.conj(ph)[:, None, None] * a.conj().T)
-
-
-def support_values(a, thetas) -> np.ndarray:
-    """Support function samples: top eigenvalue of H(theta) for each theta."""
-    a = as_matrix(a)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return np.linalg.eigvalsh(_hermitian_stack(a, thetas))[:, -1]
+    ac holds the conjugates of a. H is formed in place in the gathered
+    copies: at n = 32, forming it in fresh arrays made a 63-midpoint sweep
+    0.5 ms slower than broadcasting one A over the angles.
+    """
+    ph = np.exp(1j * thetas)[:, None, None]
+    h = a.take(owner, axis=0)
+    g = ac.take(owner, axis=0).swapaxes(-1, -2)
+    np.multiply(ph, h, out=h)
+    np.multiply(np.conj(ph), g, out=g)
+    return np.multiply(0.5, np.add(h, g, out=h), out=h)
 
 
 class Boundary(NamedTuple):
@@ -120,51 +113,70 @@ def numerical_range_boundary(a, n_theta: int) -> Boundary:
     if n_theta < 8:
         raise ValueError(f"need at least 8 boundary angles, got {n_theta}")
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    vals, vecs = np.linalg.eigh(_hermitian_stack(a, thetas))
+    one = np.zeros(n_theta, dtype=int)
+    vals, vecs = np.linalg.eigh(_hermitian_stack(a[None], a.conj()[None], one, thetas))
     x = vecs[:, :, -1]
     points = np.einsum("ki,ij,kj->k", x.conj(), a, x)
     return Boundary(thetas=thetas, points=points, supports=vals[:, -1])
 
 
-def _polish(a: np.ndarray, thetas: np.ndarray, best: float) -> float:
-    """Largest top eigenvalue of H(theta) met in Newton steps from each angle.
+def _polish(a: np.ndarray, ac: np.ndarray, owner: np.ndarray, thetas: np.ndarray,
+            best: np.ndarray) -> None:
+    """Raise best[k] to the largest top eigenvalue of H(theta) of matrix k met
+    in Newton steps from each pair (owner k, angle theta) of the stack a.
 
     The derivatives of the top eigenvalue f(theta) of H(theta), with top
     eigenpair (f, x), come from first and second order perturbation theory:
     f' = <H' x, x> with H' = i (e^{i theta} A - e^{-i theta} A*) / 2, and
     f'' = -f + 2 sum_j |<H' x, v_j>|^2 / (f - lambda_j) over the other
-    eigenpairs (lambda_j, v_j), since H'' = -H. An angle keeps stepping while
+    eigenpairs (lambda_j, v_j), since H'' = -H. A pair keeps stepping while
     f'' is clearly negative and the Newton model still promises a gain above
-    roundoff; a flat support function (f'' ~ 0) stops at once. Steps are
-    capped at one seed-grid spacing, and every evaluated f is attained.
+    roundoff at its matrix's best; a flat support function (f'' ~ 0) stops
+    at once. Steps are capped at one seed-grid spacing, and every evaluated
+    f is attained. Each pair takes its products with A and A* as mat-vecs of
+    its own: one product over all live pairs would switch from gemv to gemm
+    when two or more are live, and its last bits with it.
     """
-    at = a.conj().T
-    floor = a.shape[0] * _EPS
+    floor = a.shape[-1] * _EPS
     cap = 2.0 * np.pi / SEED_GRID
     for _ in range(_NEWTON_STEPS):
         if thetas.size == 0:
             break
-        ph = np.exp(1j * thetas)[:, None]
-        vals, vecs = np.linalg.eigh(_hermitian_stack(a, thetas))
-        best = max(best, float(vals[:, -1].max()))
-        x = vecs[:, :, -1]
-        hx = 0.5j * (ph * (x @ a.T) - ph.conj() * (x @ at.T))
-        c = (vecs.conj().swapaxes(-1, -2) @ hx[:, :, None])[:, :, 0]
+        ph = np.exp(1j * thetas)[:, None, None]
+        vals, vecs = np.linalg.eigh(_hermitian_stack(a, ac, owner, thetas))
+        np.maximum.at(best, owner, vals[:, -1])
+        x = vecs[:, None, :, -1]
+        ax = x @ a.take(owner, axis=0).swapaxes(-1, -2)
+        hx = 0.5j * (ph * ax - ph.conj() * (x @ ac.take(owner, axis=0)))
+        c = (vecs.conj().swapaxes(-1, -2) @ hx.swapaxes(-1, -2))[:, :, 0]
         d1 = c[:, -1].real
         gaps = np.maximum(vals[:, -1:] - vals[:, :-1], floor)
         d2 = -vals[:, -1] + 2.0 * (np.abs(c[:, :-1]) ** 2 / gaps).sum(axis=1)
-        go = (d2 < -_FLAT * best) & (d1 * d1 > -2.0 * d2 * _EPS * best)
-        thetas = thetas[go] + np.clip(-d1[go] / d2[go], -cap, cap)
-    return best
+        top = best[owner]
+        go = (d2 < -_FLAT * top) & (d1 * d1 > -2.0 * d2 * _EPS * top)
+        owner, thetas = owner[go], thetas[go] + np.clip(-d1[go] / d2[go], -cap, cap)
 
 
-def _starts(thetas: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The angles of the _NEWTON_STARTS largest values, largest first."""
-    return thetas[np.argsort(-vals, kind="stable")[:_NEWTON_STARTS]]
+def _starts(owner: np.ndarray, thetas: np.ndarray, vals: np.ndarray):
+    """(owner, angle) of the _NEWTON_STARTS largest values of each owner.
+
+    The first _NEWTON_STARTS of a stable descending sort of each owner's
+    values: largest first, equal values in index order.
+    """
+    order = np.lexsort((-vals, owner))
+    owner = owner[order]
+    keep = np.arange(owner.size) - np.searchsorted(owner, owner) < _NEWTON_STARTS
+    return owner[keep], thetas[order][keep]
 
 
-def numerical_radius(a) -> float:
+def numerical_radius(a):
     """Numerical radius w(A) = max over theta of the top eigenvalue f(theta) of H(theta).
+
+    A is one matrix or a stack (..., n, n): one matrix gives a float, a stack
+    an array of shape a.shape[:-2]. Each matrix of a stack takes the steps it
+    would take alone, and each LAPACK call is batched over the stack; every
+    step acts on each matrix on its own, so a radius does not depend on its
+    neighbours in the stack, to the last bit.
 
     Certified level-set iteration (He & Watson 1997; Mengi & Overton 2005):
 
@@ -181,44 +193,64 @@ def numerical_radius(a) -> float:
     3. Between consecutive crossings f - r keeps one sign, so one batched
        evaluation at their midpoints decides it on the whole circle. No
        midpoint above r certifies w(A) <= r; otherwise Newton restarts from
-       the midpoints above r and the test repeats at the raised L.
+       the midpoints above r, and the test repeats at the raised L for the
+       matrices that had such a midpoint.
 
     Every companion eigenvalue counts as a crossing at the angle of its real
     part, so a real root that roundoff moved off the axis is still seen;
     extra angles only split an interval further. Midpoints of gaps narrower
     than _MIN_GAP, such as the two angles of a conjugate pair, are skipped,
     and so is the gap through psi, where f < r.
-    The iteration runs on A scaled by a power of two (exact), and returns L.
+    The iteration runs on each matrix scaled by its own power of two (exact),
+    and returns L. A zero matrix has radius 0 and skips the iteration, whose
+    level-set solve would be singular.
     """
-    a = as_matrix(a)
-    a, e = pow2_scaled(a)
-    if not a.any():
-        return 0.0
-    n = a.shape[0]
-    eye = np.eye(n)
-    comp = np.zeros((2 * n, 2 * n), dtype=complex)
-    comp[:n, n:] = eye
+    a = _as_stack(a)
+    shape, n = a.shape[:-2], a.shape[-1]
+    a, e = pow2_scaled(a.reshape(-1, n, n))
+    w = np.zeros(e.shape)
+    nonzero = np.flatnonzero(a.any(axis=(1, 2)))
+    a, e = a[nonzero], e[nonzero]
+    ac = a.conj()
+    count = a.shape[0]
     grid = np.arange(SEED_GRID) * (2.0 * np.pi / SEED_GRID)
-    stack = _hermitian_stack(a, grid)
-    sup = np.linalg.eigvalsh(stack)[:, -1]
-    ring = np.concatenate([sup[-1:], sup, sup[:1]])
-    peak = (sup >= ring[:-2]) & (sup >= ring[2:])
-    best = _polish(a, _starts(grid[peak], sup[peak]), float(sup.max()))
+    pairs = np.arange(count).repeat(SEED_GRID), grid[None].repeat(count, axis=0).ravel()
+    stack = _hermitian_stack(a, ac, *pairs).reshape(count, SEED_GRID, n, n)
+    sup = np.linalg.eigvalsh(stack)[..., -1]
+    ring = np.concatenate([sup[:, -1:], sup, sup[:, :1]], axis=1)
+    owner, k = np.nonzero((sup >= ring[:, :-2]) & (sup >= ring[:, 2:]))
+    best = sup.max(axis=1)
+    _polish(a, ac, *_starts(owner, grid[k], sup[owner, k]), best)
 
-    k = int(np.argmin(sup))
-    psi, h = grid[k], stack[k]
-    dh = 0.5j * (np.exp(1j * psi) * a - np.exp(-1j * psi) * a.conj().T)
+    k = np.argmin(sup, axis=1)
+    psi = grid[k]
+    h = stack[np.arange(count), k]
+    ah = ac.swapaxes(-1, -2)
+    dh = 0.5j * (np.exp(1j * psi)[:, None, None] * a - np.exp(-1j * psi)[:, None, None] * ah)
+    eye = np.eye(n)
+    live = np.arange(count)
     for _ in range(_MAX_TESTS):
-        r = best * (1.0 + LEVEL_RTOL)
-        comp[n:] = np.linalg.solve(h - r * eye, np.concatenate([h + r * eye, 2.0 * dh], axis=1))
-        cross = np.sort(2.0 * np.arctan(np.linalg.eigvals(comp).real))
-        wide = np.diff(cross) > _MIN_GAP
-        mids = psi + np.pi + 0.5 * (cross[1:] + cross[:-1])[wide]
-        vals = np.linalg.eigvalsh(_hermitian_stack(a, mids))[:, -1]
-        up = vals > r
+        r = best[live] * (1.0 + LEVEL_RTOL)
+        ri = r[:, None, None] * eye
+        comp = np.zeros((live.size, 2 * n, 2 * n), dtype=complex)
+        comp[:, :n, n:] = eye
+        rhs = np.concatenate([h[live] + ri, 2.0 * dh[live]], axis=-1)
+        comp[:, n:] = np.linalg.solve(h[live] - ri, rhs)
+        cross = np.sort(2.0 * np.arctan(np.linalg.eigvals(comp).real), axis=1)
+        i, j = np.nonzero(np.diff(cross, axis=1) > _MIN_GAP)
+        owner = live[i]
+        mids = psi[owner] + np.pi + 0.5 * (cross[i, j + 1] + cross[i, j])
+        vals = np.linalg.eigvalsh(_hermitian_stack(a, ac, owner, mids))[:, -1]
+        up = vals > r[i]
         if not up.any():
-            return float(np.ldexp(best, e))
-        best = _polish(a, _starts(mids[up], vals[up]), max(best, float(vals.max())))
+            w[nonzero] = np.ldexp(best, e)
+            return float(w[0]) if not shape else w.reshape(shape)
+        failed = np.zeros(count, dtype=bool)
+        failed[owner[up]] = True
+        retest = failed[owner]
+        np.maximum.at(best, owner[retest], vals[retest])
+        _polish(a, ac, *_starts(owner[up], mids[up], vals[up]), best)
+        live = np.flatnonzero(failed)
     raise NoConvergence(f"numerical radius not certified after {_MAX_TESTS} level-set tests")
 
 
@@ -338,18 +370,11 @@ def range_summary(a, n_theta: int = BOUNDARY_GRID) -> RangeSummary:
     )
 
 
-def polygon_cross_products(points) -> np.ndarray:
-    """Cross products of consecutive edges of a closed polyline.
-
-    All entries sharing one sign (within a tolerance) certifies convexity of
-    the polyline; degenerate edges contribute zeros.
-    """
+def is_convex_polyline(points, tol: float = 1e-9) -> bool:
+    """True when the cross products of consecutive edges of the closed
+    polyline share one sign within tol; degenerate edges contribute zeros."""
     z = np.asarray(points, dtype=complex)
     e = np.roll(z, -1) - z
     nxt = np.roll(e, -1)
-    return e.real * nxt.imag - e.imag * nxt.real
-
-
-def is_convex_polyline(points, tol: float = 1e-9) -> bool:
-    c = polygon_cross_products(points)
+    c = e.real * nxt.imag - e.imag * nxt.real
     return bool(np.all(c >= -tol) or np.all(c <= tol))

@@ -98,6 +98,19 @@ def test_check_disk_shift2_loose_passes():
     assert ok
 
 
+def test_check_disk_tolerance_is_relative_to_r():
+    # ||T - lambda I|| = 1e-12 ||S - I|| = 1.6e-12 is 16 r: the disk fails at
+    # every scale, and no report resting on it claims its hypothesis.
+    cert = DiskCertificate(lam=1e-12, r=1e-13)
+    ok, measured = check_disk(1e-12 * shift2(), cert)
+    assert not ok and measured > 16 * cert.r
+    reports = verify_all(1e-12 * shift2(), [cert])
+    assert len(reports) == 6 and not any(rep.hypothesis_ok for rep in reports)
+    for scale in (1.0, 1e-12, 1e-150, 1e150):
+        assert check_disk(scale * shift2(), DiskCertificate(lam=scale, r=1.62 * scale))[0]
+        assert not check_disk(scale * shift2(), DiskCertificate(lam=scale, r=1.61 * scale))[0]
+
+
 # ------------------------------------------------------------ sector checks
 
 

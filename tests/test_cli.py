@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import numrad.cli as cli
-from numrad.bounds import InequalityReport
+from numrad.bounds import SLACK_TOL, InequalityReport, verify_all
 from numrad.extremal import gen_disk_instance, shift2
 from numrad.io import save_matrix
 
@@ -254,6 +254,54 @@ def test_sweep_exit_one_on_violation(monkeypatch, capsys):
                    "--seed", "1", "--lambda", "1,0", "--r", "0.5")
     capsys.readouterr()
     assert code == 1
+
+
+SWEEP_PARAMS = {
+    "disk": {"lam": 1 + 0.5j, "r": 0.4},
+    "segment": {"m": 1.0, "M": 3.0},
+    "ginibre": {"lam": 0.5, "r": 1.2},
+    "nilpotent": {"lam": 0.5, "r": 1.2},
+}
+
+
+def one_trial_at_a_time(cfg):
+    """(inequalities table, violations) of cfg from one verify_all(t, [cert]) per trial."""
+    seeds = np.random.default_rng(cfg.seed).integers(0, 2**63, size=cfg.trials, dtype=np.uint64)
+    evaluated, failures, slacks, violations = {}, {}, {}, 0
+    for seed in seeds:
+        t, cert = cli._sweep_instance(cfg, int(seed))
+        for rep in verify_all(t, [cert]):
+            iid = rep.inequality_id
+            evaluated[iid] = evaluated.get(iid, 0) + 1
+            failures.setdefault(iid, 0)
+            slacks.setdefault(iid, [])
+            if rep.hypothesis_ok:
+                slacks[iid].append(rep.slack)
+                violations += rep.slack < -SLACK_TOL
+            else:
+                failures[iid] += 1
+    table = {
+        iid: {
+            "evaluated": evaluated[iid],
+            "hypothesis_failures": failures[iid],
+            "min_slack": float(np.min(slacks[iid])) if slacks[iid] else None,
+            "median_slack": float(np.median(slacks[iid])) if slacks[iid] else None,
+        }
+        for iid in evaluated
+    }
+    return table, violations
+
+
+@pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
+def test_chunked_sweep_is_bit_identical_to_one_trial_at_a_time(ensemble):
+    for trials in (1, 64, 65):
+        cfg = cli.SweepConfig(ensemble=ensemble, n=4, trials=trials, seed=trials + 5,
+                              params=SWEEP_PARAMS[ensemble])
+        aggregate, code = cli.run_sweep(cfg)
+        table, violations = one_trial_at_a_time(cfg)
+        assert list(aggregate["inequalities"]) == list(table)
+        assert aggregate["inequalities"] == table
+        assert aggregate["slack_violations"] == violations == code == 0
 
 
 # ------------------------------------------------------------------- search
