@@ -14,7 +14,7 @@ is bounded above. Certificates come in two shapes:
   |phi - varphi|/2.
 
 verify_all checks each certificate's hypothesis once and reports every bound
-resting on it; the eight evaluators pick out the bounds they are named for.
+resting on it; the seven evaluators pick out the bounds they are named for.
 Each report holds the hypothesis status, both sides, and the slack rhs - lhs.
 A failed hypothesis is data, never an exception, so ensemble sweeps can
 aggregate failures without aborting. The verified bounds, by identifier:
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, operator_norm, pow2_scaled, shifted_norms
-from .numrange import numerical_radius
+from .numrange import SEED_GRID, _hermitian_stack, numerical_radius
 
 __all__ = [
     "DegenerateSector",
@@ -63,7 +63,6 @@ __all__ = [
     "check_sector_hypothesis",
     "eval_disk_bound",
     "eval_sector_gap",
-    "eval_disk_gap_squared",
     "eval_radius_ratio",
     "eval_sector_ratio",
     "eval_disk_gap_weighted",
@@ -97,6 +96,9 @@ CENTER_COINCIDENCE_TOL = 1e-9
 # r/|lambda| at or below sqrt(3)/2 makes the ratio bounds sharper than the
 # universal w >= norm/2.
 REFINEMENT_RATIO = np.sqrt(3.0) / 2.0
+# optimize_lambda's pruning margin, relative to its grid radius cap = 2 ||T||:
+# far above the rounding of the support-line bound and of the measured norms.
+_PRUNE_RTOL = 1e-6
 
 
 class DegenerateSector(ValueError):
@@ -279,6 +281,9 @@ def _disk_reports(t, cert: DiskCertificate, w, norm) -> dict:
 
     Maps each identifier to its report, or to the exception its evaluator
     raises when the bound is undefined for this matrix and certificate.
+    An explicit rho joins the hypothesis of C2_13 as | |lambda| - w | >= rho.
+    Without one, rho is the measured | |lambda| - w |; below
+    CENTER_COINCIDENCE_TOL the report is the special case R2_15, rhs = r^2.
     """
     t, w, norm = _prepared(t, w, norm)
     ok, measured = check_disk(t, cert)
@@ -406,17 +411,6 @@ def eval_sector_gap(a, s: SectorPair, *, w=None, norm=None):
     return _pick(_sector_reports(a, s, w, norm), "C2_7")
 
 
-def eval_disk_gap_squared(t, cert: DiskCertificate, *, w=None, norm=None):
-    """Report C2_13 (or R2_15): squared-gap bound with the radius gap rho.
-
-    With an explicit rho the claim | |lambda| - w | >= rho joins the
-    hypothesis. Without one, rho is set to the measured | |lambda| - w |;
-    when that gap is below CENTER_COINCIDENCE_TOL the report is emitted as
-    the special case R2_15 with rhs = r^2.
-    """
-    return _pick(_disk_reports(t, cert, w, norm), "C2_13", "R2_15")
-
-
 def eval_radius_ratio(t, cert: DiskCertificate, *, w=None, norm=None):
     """Reports T3_2 and R3_5: lower bound on w/norm for a small disk.
 
@@ -492,6 +486,20 @@ def optimize_lambda(t) -> DiskCertificate:
     (see `pow2_scaled`), so the step floor and the pad are relative to the
     largest entry of T, and the certificate of 2^k T is exactly 2^k times
     that of T.
+
+    Only the grid candidates that can hold the minimum are measured. Each
+    support line of W(T) bounds the norm from below: with h(theta) the top
+    eigenvalue of H(theta) (see `numrange`),
+    ||T - lambda I|| >= w(T - lambda I) >= h(theta) - Re(e^{i theta} lambda).
+    LB(lambda) is the largest of these over the SEED_GRID angles; u is the
+    norm measured at the candidate of smallest LB, so the grid minimum is at
+    most u. A candidate with LB > u + _PRUNE_RTOL * cap has a computed norm
+    above u, because the rounding of h, of Re(e^{i theta} lambda) and of the
+    computed norms is far below that margin (at most eps * cap measured);
+    so it is not the grid minimum and does not tie with it. Each norm is
+    computed on its own (on the scaled T the guard of `shifted_norms` never
+    fires), so the argmin, its tie-break to the first index and the norm
+    measured there are bit for bit those of the full grid.
     """
     t, e = pow2_scaled(as_matrix(t))
     cap = 2.0 * operator_norm(t) or 1e-6
@@ -501,9 +509,14 @@ def optimize_lambda(t) -> DiskCertificate:
     re, im = np.meshgrid(xs, xs)
     cand = (re + 1j * im).ravel()
     cand = cand[np.abs(cand) <= cap]
-    vals = shifted_norms(t, cand)
+    grid = np.arange(SEED_GRID) * (2.0 * np.pi / SEED_GRID)
+    h = np.linalg.eigvalsh(_hermitian_stack(t[None], t.conj()[None], [0] * SEED_GRID, grid))[:, -1]
+    lb = (h - (cand[:, None] * np.exp(1j * grid)).real).max(axis=1)
+    u = float(shifted_norms(t, cand[[np.argmin(lb)]])[0])
+    live = np.flatnonzero(lb <= u + _PRUNE_RTOL * cap)
+    vals = shifted_norms(t, cand[live])
     k = int(np.argmin(vals))
-    lam, best = complex(cand[k]), float(vals[k])
+    lam, best = complex(cand[live[k]]), float(vals[k])
 
     step = 2.0 * cap / 31
     while step > 1e-8:

@@ -16,7 +16,6 @@ __all__ = [
     "NoConvergence",
     "HermitianEigen",
     "as_matrix",
-    "adjoint",
     "hermitian_eigen",
     "operator_norm",
 ]
@@ -59,11 +58,6 @@ def _as_stack(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose. An involution: adjoint(adjoint(a)) == a exactly."""
-    return as_matrix(a).conj().T
 
 
 @dataclass(frozen=True)

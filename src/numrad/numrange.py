@@ -106,18 +106,25 @@ def numerical_range_boundary(a, n_theta: int) -> Boundary:
     """Sample the boundary of W(A) at n_theta uniform angles over [0, 2 pi).
 
     Re(e^{i theta} point) equals the support value at each angle up to
-    eigensolver roundoff.
+    eigensolver roundoff. Since H(theta + pi) = -H(theta), an even n_theta
+    takes one eigendecomposition per angle of the first half: the angle
+    k + n_theta/2 gets the bottom eigenpair of angle k, with support
+    -lambda_min. Those supports agree with a full sweep to eigensolver
+    roundoff, not bit for bit; an odd n_theta sweeps every angle.
     """
     a = as_matrix(a)
     n_theta = int(n_theta)
     if n_theta < 8:
         raise ValueError(f"need at least 8 boundary angles, got {n_theta}")
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    one = np.zeros(n_theta, dtype=int)
-    vals, vecs = np.linalg.eigh(_hermitian_stack(a[None], a.conj()[None], one, thetas))
-    x = vecs[:, :, -1]
+    m = n_theta // 2 if n_theta % 2 == 0 else n_theta
+    vals, vecs = np.linalg.eigh(_hermitian_stack(a[None], a.conj()[None], [0] * m, thetas[:m]))
+    supports, x = vals[:, -1], vecs[:, :, -1]
+    if m < n_theta:
+        supports = np.concatenate([supports, -vals[:, 0]])
+        x = np.concatenate([x, vecs[:, :, 0]])
     points = np.einsum("ki,ij,kj->k", x.conj(), a, x)
-    return Boundary(thetas=thetas, points=points, supports=vals[:, -1])
+    return Boundary(thetas=thetas, points=points, supports=supports)
 
 
 def _polish(a: np.ndarray, ac: np.ndarray, owner: np.ndarray, thetas: np.ndarray,

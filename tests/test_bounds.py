@@ -17,7 +17,6 @@ from numrad.bounds import (
     check_disk,
     check_sector_hypothesis,
     eval_disk_bound,
-    eval_disk_gap_squared,
     eval_disk_gap_weighted,
     eval_radius_ratio,
     eval_sector_gap,
@@ -34,8 +33,8 @@ from numrad.extremal import (
     ginibre,
     shift2,
 )
-from numrad.linalg import operator_norm
-from numrad.numrange import numerical_radius
+from numrad.linalg import as_matrix, operator_norm, pow2_scaled, shifted_norms
+from numrad.numrange import SEED_GRID, numerical_radius
 
 
 def svd2_max(m):
@@ -195,8 +194,14 @@ def test_disk_bound_failed_hypothesis_is_data():
     assert "hypothesis failed" in rep_gap.diagnostic
 
 
+def gap_squared(t, cert):
+    """The C2_13 or R2_15 report of a disk certificate."""
+    (rep,) = [rep for rep in verify_all(t, [cert]) if rep.inequality_id in ("C2_13", "R2_15")]
+    return rep
+
+
 def test_gap_squared_scalar_matrix():
-    rep = eval_disk_gap_squared(np.eye(2), DiskCertificate(lam=1.0, r=0.3, rho=0.0))
+    rep = gap_squared(np.eye(2), DiskCertificate(lam=1.0, r=0.3, rho=0.0))
     assert rep.inequality_id == "C2_13"
     assert rep.hypothesis_ok
     assert abs(rep.lhs) <= 1e-12
@@ -207,23 +212,23 @@ def test_gap_squared_shift2_center_at_radius():
     # center |lambda| = w(S2) = 0.5; measured distance is the certified radius
     r = operator_norm(shift2() - 0.5 * np.eye(2))
     assert abs(r - svd2_max(shift2() - 0.5 * np.eye(2))) <= 1e-12
-    rep = eval_disk_gap_squared(shift2(), DiskCertificate(lam=0.5, r=r + 1e-12, rho=0.0))
+    rep = gap_squared(shift2(), DiskCertificate(lam=0.5, r=r + 1e-12, rho=0.0))
     assert rep.hypothesis_ok
     assert abs(rep.lhs - 0.75) <= 1e-9
     assert rep.slack >= 0
     # auto mode recognizes the coincidence and reports the special case
-    auto = eval_disk_gap_squared(shift2(), DiskCertificate(lam=0.5, r=r + 1e-12))
+    auto = gap_squared(shift2(), DiskCertificate(lam=0.5, r=r + 1e-12))
     assert auto.inequality_id == "R2_15"
     assert abs(auto.rhs - (r + 1e-12) ** 2) <= 1e-15
 
 
 def test_gap_squared_overclaimed_rho_fails():
-    rep = eval_disk_gap_squared(np.eye(2), DiskCertificate(lam=2.0, r=1.5, rho=1.5))
+    rep = gap_squared(np.eye(2), DiskCertificate(lam=2.0, r=1.5, rho=1.5))
     assert not rep.hypothesis_ok  # | |lambda| - w | = 1 < claimed 1.5
 
 
 def test_gap_squared_auto_rho_away_from_center():
-    rep = eval_disk_gap_squared(np.eye(2), DiskCertificate(lam=2.0, r=1.5))
+    rep = gap_squared(np.eye(2), DiskCertificate(lam=2.0, r=1.5))
     assert rep.inequality_id == "C2_13"
     assert rep.hypothesis_ok
     assert abs(rep.rhs - (1.5**2 - 1.0)) <= 1e-9
@@ -589,3 +594,84 @@ def test_optimize_lambda_is_exactly_scale_equivariant():
         assert got.lam == complex(np.ldexp(cert.lam.real, k), np.ldexp(cert.lam.imag, k))
         assert got.r == np.ldexp(cert.r, k)
         assert check_disk(scaled, got)[0]
+
+
+def dense_kinds(seed, n=32):
+    """One matrix of each kind perfbench's dense workload cycles through:
+    Ginibre, Hermitian, square-zero and disk-concentrated."""
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    square_zero = np.zeros((n, n), dtype=complex)
+    square_zero[n // 2 :, : n // 2] = g[n // 2 :, : n // 2]
+    disk = (1.5 - 0.8j) * np.eye(n) + 0.1 * g / np.linalg.norm(g, 2)
+    return [g, 0.5 * (g + g.conj().T), square_zero, disk]
+
+
+def small_matrices(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return [g, g + g.conj().T, np.triu(g), 0.7 * np.eye(n) + 1e-9 * g]
+
+
+LAMBDA_MATRICES = [
+    *dense_kinds(31),
+    *(a for seed in range(6) for a in small_matrices(seed)),
+    np.zeros((3, 3)),
+]
+
+
+def lambda_grid(t):
+    """(candidates, cap) of optimize_lambda's seed grid for a pow2-scaled T."""
+    cap = 2.0 * operator_norm(t) or 1e-6
+    xs = np.linspace(-cap, cap, 32)
+    re, im = np.meshgrid(xs, xs)
+    cand = (re + 1j * im).ravel()
+    return cand[np.abs(cand) <= cap], cap
+
+
+def full_grid_lambda(t):
+    """optimize_lambda measuring every grid candidate: the reference for the pruned grid."""
+    t, e = pow2_scaled(as_matrix(t))
+    cand, cap = lambda_grid(t)
+    vals = shifted_norms(t, cand)
+    k = int(np.argmin(vals))
+    lam, best = complex(cand[k]), float(vals[k])
+    step = 2.0 * cap / 31
+    while step > 1e-8:
+        moves = np.array([lam + step, lam - step, lam + 1j * step, lam - 1j * step])
+        mv = shifted_norms(t, moves)
+        j = int(np.argmin(mv))
+        if mv[j] < best and moves[j] != 0:
+            lam, best = complex(moves[j]), float(mv[j])
+        else:
+            step *= 0.5
+    lam = complex(np.ldexp(lam.real, e), np.ldexp(lam.imag, e))
+    return DiskCertificate(lam=lam, r=float(np.ldexp(best + 1e-9, e)))
+
+
+@pytest.mark.parametrize("a", LAMBDA_MATRICES)
+def test_optimize_lambda_is_bit_identical_to_the_full_grid(a, monkeypatch):
+    sizes = []
+
+    def recording(t, lams):
+        sizes.append(len(lams))
+        return shifted_norms(t, lams)
+
+    monkeypatch.setattr(bounds, "shifted_norms", recording)
+    cert = optimize_lambda(a)
+    ref = full_grid_lambda(a)
+    assert (cert.lam, cert.r) == (ref.lam, ref.r)
+    # The support-line bound prunes all but a few of the ~740 grid candidates.
+    assert max(sizes) <= 64
+
+
+@pytest.mark.parametrize("a", LAMBDA_MATRICES)
+def test_support_line_bound_never_exceeds_the_norm(a):
+    t, _ = pow2_scaled(as_matrix(a))
+    cand, cap = lambda_grid(t)
+    ph = np.exp(1j * np.arange(SEED_GRID) * (2.0 * np.pi / SEED_GRID))
+    h = np.linalg.eigvalsh(0.5 * (ph[:, None, None] * t + ph.conj()[:, None, None] * t.conj().T))
+    lb = (h[:, -1] - (cand[:, None] * ph).real).max(axis=1)
+    # Rounding only: far below optimize_lambda's pruning margin.
+    assert np.all(lb <= shifted_norms(t, cand) + 16 * np.finfo(float).eps * cap)

@@ -8,7 +8,8 @@ import pytest
 import numrad.cli as cli
 from numrad.bounds import SLACK_TOL, InequalityReport, verify_all
 from numrad.extremal import gen_disk_instance, shift2
-from numrad.io import save_matrix
+from numrad.io import load_matrix, reports_to_jsonl, save_matrix
+from test_bounds import dense_kinds, full_grid_lambda
 
 
 @pytest.fixture()
@@ -94,6 +95,14 @@ def test_verify_rho_flag(s2_file, capsys):
     by_id = {json.loads(line)["inequality_id"]: json.loads(line)
              for line in capsys.readouterr().out.splitlines()}
     assert by_id["C2_13"]["hypothesis_ok"]
+
+
+def test_verify_auto_prints_the_full_grid_certificate_reports(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    save_matrix(path, dense_kinds(37)[0])
+    a = load_matrix(path)
+    assert run_cli("verify", path, "--auto") == 0
+    assert capsys.readouterr().out == reports_to_jsonl(verify_all(a, [full_grid_lambda(a)]))
 
 
 @pytest.mark.parametrize("scale", [1e-30, 1e150])

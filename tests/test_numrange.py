@@ -16,7 +16,7 @@ from numrad.extremal import (
     random_unitary,
     shift2,
 )
-from numrad.linalg import adjoint, hermitian_eigen, operator_norm
+from numrad.linalg import hermitian_eigen, operator_norm
 from numrad.numrange import (
     _ORACLE_CHUNK,
     LEVEL_RTOL,
@@ -75,6 +75,44 @@ def test_boundary_support_consistency():
         b = numerical_range_boundary(a, 48)
         proj = (np.exp(1j * b.thetas) * b.points).real
         assert np.max(np.abs(proj - b.supports)) <= 1e-9
+
+
+def full_boundary_sweep(a, n_theta):
+    """(supports, points) from one eigh per angle, the top eigenpair of each."""
+    ph = np.exp(1j * np.arange(n_theta) * (2.0 * np.pi / n_theta))[:, None, None]
+    vals, vecs = np.linalg.eigh(0.5 * (ph * a + ph.conj() * a.conj().T))
+    x = vecs[:, :, -1]
+    return vals[:, -1], np.einsum("ki,ij,kj->k", x.conj(), a, x)
+
+
+def boundary_matrices():
+    rng = np.random.default_rng(23)
+    g = rand_matrix(rng, 32)
+    square_zero = np.zeros((8, 8), dtype=complex)
+    square_zero[4:, :4] = g[:4, :4]
+    mats = [g, 0.5 * (g + g.conj().T), square_zero, np.triu(g[:5, :5]), np.eye(3), np.zeros((2, 2))]
+    return mats + [1e-150 * g[:4, :4], 1e150 * g[:4, :4]] + [rand_matrix(rng, n) for n in (1, 2, 3, 6)]
+
+
+@pytest.mark.parametrize("n_theta", [8, 48, 512])
+def test_half_angle_boundary_matches_the_full_sweep(n_theta):
+    for a in boundary_matrices():
+        b = numerical_range_boundary(a, n_theta)
+        supports, _ = full_boundary_sweep(a, n_theta)
+        scale = np.abs(a).max()
+        assert np.array_equal(b.thetas, np.arange(n_theta) * (2.0 * np.pi / n_theta))
+        assert np.max(np.abs(b.supports - supports)) <= 1e-13 * scale
+        proj = (np.exp(1j * b.thetas) * b.points).real
+        assert np.max(np.abs(proj - b.supports)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n_theta", [9, 65])
+def test_odd_boundary_is_the_full_sweep(n_theta):
+    for a in boundary_matrices():
+        b = numerical_range_boundary(a, n_theta)
+        supports, points = full_boundary_sweep(a, n_theta)
+        assert np.array_equal(b.supports, supports)
+        assert np.array_equal(b.points, points)
 
 
 def test_boundary_needs_eight_angles():
@@ -331,7 +369,7 @@ def test_adjoint_symmetry_of_radius():
     rng = np.random.default_rng(13)
     for _ in range(10):
         a = rand_matrix(rng, int(rng.integers(2, 6)))
-        assert abs(numerical_radius(adjoint(a)) - numerical_radius(a)) <= 1e-9
+        assert abs(numerical_radius(a.conj().T) - numerical_radius(a)) <= 1e-9
 
 
 def test_unitary_invariance_of_radius():
