@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, operator_norm, pow2_scaled, shifted_norms
-from .numrange import SEED_GRID, _hermitian_stack, numerical_radius
+from .linalg import _as_stack, _spectral_norms, as_matrix, operator_norm, pow2_scaled, shifted_norms
+from .numrange import _SEED_ANGLES, _seed_supports, numerical_radius
 
 __all__ = [
     "DegenerateSector",
@@ -90,8 +90,9 @@ DISK_TOL = 1e-9
 # Relative to ||A* - conj(varphi) I||_F ||phi I - A||_F (check_sector_hypothesis).
 PSD_TOL = 1e-9
 SYM_RTOL = 1e-9
+# Both relative to |lambda|: the slack allowed on a claimed rho, and the gap
+# | |lambda| - w | below which auto-rho mode takes the |lambda| = w case.
 RHO_TOL = 1e-9
-# Auto-rho mode switches to the |lambda| = w special case below this gap.
 CENTER_COINCIDENCE_TOL = 1e-9
 # r/|lambda| at or below sqrt(3)/2 makes the ratio bounds sharper than the
 # universal w >= norm/2.
@@ -208,15 +209,6 @@ class InequalityReport:
     refinement_flag: bool | None = None
 
 
-def _prepared(t, w, norm):
-    t = as_matrix(t)
-    if w is None:
-        w = numerical_radius(t)
-    if norm is None:
-        norm = operator_norm(t)
-    return t, float(w), float(norm)
-
-
 def _report(iid, ok, diag, lhs, rhs, w, norm, flag=None):
     lhs = float(lhs)
     rhs = float(rhs)
@@ -233,14 +225,22 @@ def _report(iid, ok, diag, lhs, rhs, w, norm, flag=None):
     )
 
 
-def check_disk(t, cert: DiskCertificate) -> tuple[bool, float]:
+def _verdicts(t, ok, measured):
+    """(bool, float) for one matrix t, the two arrays for a stack."""
+    return (bool(ok), float(measured)) if t.ndim == 2 else (ok, measured)
+
+
+def check_disk(t, cert: DiskCertificate):
     """Measure ||T - lambda I|| and compare against the certified radius.
 
-    The measurement uses the kernel that `optimize_lambda` fits with. It may
+    T is one matrix, which gives (ok, measured), or a stack (..., n, n), which
+    gives two arrays of shape t.shape[:-2] from one `shifted_norms` call. The
+    measurement uses the kernel that `optimize_lambda` fits with. It may
     exceed r by the relative DISK_TOL, so the verdict does not depend on scale.
     """
-    measured = float(shifted_norms(as_matrix(t), [cert.lam])[0])
-    return measured <= cert.r * (1.0 + DISK_TOL), measured
+    t = _as_stack(t)
+    measured = shifted_norms(t, [cert.lam])[..., 0]
+    return _verdicts(t, measured <= cert.r * (1.0 + DISK_TOL), measured)
 
 
 def sector_to_disk(s: SectorPair) -> DiskCertificate:
@@ -252,9 +252,11 @@ def sector_to_disk(s: SectorPair) -> DiskCertificate:
     return DiskCertificate(lam=(s.phi + s.varphi) / 2.0, r=abs(s.phi - s.varphi) / 2.0)
 
 
-def check_sector_hypothesis(a, s: SectorPair) -> tuple[bool, float]:
+def check_sector_hypothesis(a, s: SectorPair):
     """Test the sector hypothesis on A; returns (ok, min eigenvalue).
 
+    A is one matrix, which gives (bool, float), or a stack (..., n, n), which
+    gives two arrays of shape a.shape[:-2] from one `eigvalsh` call.
     Forms B = (A* - conj(varphi) I)(phi I - A). Accretivity means
     Re<Bx, x> >= 0 for all x, which in finite dimension is exactly positive
     semidefiniteness of the Hermitian part (B + B*)/2; the reported minimum
@@ -262,45 +264,43 @@ def check_sector_hypothesis(a, s: SectorPair) -> tuple[bool, float]:
     be self-adjoint. Both tolerances are relative to the product of the two
     factors' Frobenius norms, which bounds the rounding error in forming B.
     """
-    a = as_matrix(a)
-    eye = np.eye(a.shape[0], dtype=complex)
-    left, right = a.conj().T - np.conj(s.varphi) * eye, s.phi * eye - a
+    a = _as_stack(a)
+    eye = np.eye(a.shape[-1])
+    left, right = a.conj().swapaxes(-1, -2) - np.conj(s.varphi) * eye, s.phi * eye - a
     b = left @ right
-    scale = float(np.linalg.norm(left)) * float(np.linalg.norm(right))
-    herm = 0.5 * (b + b.conj().T)
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
+    bh = b.conj().swapaxes(-1, -2)
+    scale = np.linalg.norm(left, axis=(-2, -1)) * np.linalg.norm(right, axis=(-2, -1))
+    min_eig = np.linalg.eigvalsh(0.5 * (b + bh))[..., 0]
     ok = min_eig >= -PSD_TOL * scale
     if s.mode == OPERATOR_ORDER:
-        dev = float(np.linalg.norm(b - b.conj().T))
-        ok = ok and dev <= SYM_RTOL * scale
-    return ok, min_eig
+        ok &= np.linalg.norm(b - bh, axis=(-2, -1)) <= SYM_RTOL * scale
+    return _verdicts(a, ok, min_eig)
 
 
-def _disk_reports(t, cert: DiskCertificate, w, norm) -> dict:
-    """Every disk bound of one certificate, from a single check_disk call.
+def _disk_reports(cert: DiskCertificate, ok, measured, w, norm) -> dict:
+    """Every disk bound of one certificate on one matrix, given its check_disk result.
 
     Maps each identifier to its report, or to the exception its evaluator
     raises when the bound is undefined for this matrix and certificate.
     An explicit rho joins the hypothesis of C2_13 as | |lambda| - w | >= rho.
     Without one, rho is the measured | |lambda| - w |; below
-    CENTER_COINCIDENCE_TOL the report is the special case R2_15, rhs = r^2.
+    CENTER_COINCIDENCE_TOL |lambda| the report is the special case R2_15,
+    rhs = r^2.
     """
-    t, w, norm = _prepared(t, w, norm)
-    ok, measured = check_disk(t, cert)
     diag = f"||T - lambda I|| = {measured:.12g} {'<=' if ok else '>'} r = {cert.r:.12g}"
     alam, r = abs(cert.lam), cert.r
     gap = abs(alam - w)
     gap_ok = ok
     if cert.rho is None:
-        if gap <= CENTER_COINCIDENCE_TOL:
+        if gap <= CENTER_COINCIDENCE_TOL * alam:
             iid, rho = "R2_15", 0.0
-            extra = f"|lambda| = w to {CENTER_COINCIDENCE_TOL:g}"
+            extra = f"|lambda| = w to {CENTER_COINCIDENCE_TOL:g} |lambda|"
         else:
             iid, rho = "C2_13", gap
             extra = f"auto rho = | |lambda| - w | = {gap:.12g}"
     else:
         iid, rho = "C2_13", cert.rho
-        if rho > gap + RHO_TOL:
+        if rho > gap + RHO_TOL * alam:
             gap_ok = False
             extra = f"claimed rho = {rho:.12g} exceeds | |lambda| - w | = {gap:.12g}"
         else:
@@ -329,17 +329,15 @@ def _disk_reports(t, cert: DiskCertificate, w, norm) -> dict:
     }
 
 
-def _sector_reports(a, s: SectorPair, w, norm) -> dict:
-    """Every sector bound of one pair, from at most one check_sector_hypothesis call.
+def _sector_reports(s: SectorPair, ok, min_eig, w, norm) -> dict:
+    """Every sector bound of one pair on one matrix, given its check_sector_hypothesis result.
 
-    A degenerate pair fails its hypothesis without a check. The result maps
-    identifiers as `_disk_reports` does.
+    A degenerate pair fails its hypothesis and has no check (ok and min_eig
+    are ignored). The result maps identifiers as `_disk_reports` does.
     """
-    a, w, norm = _prepared(a, w, norm)
     if s.is_degenerate():
         ok, diag = False, "degenerate sector pair (phi equals varphi or -varphi)"
     else:
-        ok, min_eig = check_sector_hypothesis(a, s)
         mode = "operator order" if s.mode == OPERATOR_ORDER else "accretivity"
         diag = f"sector {mode} check: min eig = {min_eig:.6g}"
     ssum, sdiff = abs(s.phi + s.varphi), abs(s.phi - s.varphi)
@@ -380,12 +378,30 @@ def _sector_reports(a, s: SectorPair, w, norm) -> dict:
     return reports | dict.fromkeys(("R4_9", "R4_10", "R4_11", "R4_12"), undefined)
 
 
-def _reports(t, cert, w, norm) -> dict:
+def _reports(t, cert, w, norm) -> list[dict]:
+    """The report map of one certificate for each matrix of the stack t, shape (B, n, n).
+
+    The hypothesis is checked once for the whole stack; w and norm hold the
+    radius and the norm of each matrix.
+    """
     if isinstance(cert, DiskCertificate):
-        return _disk_reports(t, cert, w, norm)
-    if isinstance(cert, SectorPair):
-        return _sector_reports(t, cert, w, norm)
-    raise TypeError(f"unsupported certificate type {type(cert).__name__}")
+        build, checks = _disk_reports, zip(*check_disk(t, cert))
+    elif isinstance(cert, SectorPair):
+        build = _sector_reports
+        checks = ([(False, np.nan)] * len(t) if cert.is_degenerate()
+                  else zip(*check_sector_hypothesis(t, cert)))
+    else:
+        raise TypeError(f"unsupported certificate type {type(cert).__name__}")
+    return [build(cert, bool(ok), float(x), float(wi), float(ni))
+            for (ok, x), wi, ni in zip(checks, w, norm)]
+
+
+def _one(t, cert, w, norm) -> dict:
+    """The report map of one certificate on one matrix; w and norm are measured unless given."""
+    t = as_matrix(t)
+    w = numerical_radius(t) if w is None else w
+    norm = operator_norm(t) if norm is None else norm
+    return _reports(t[None], cert, [w], [norm])[0]
 
 
 def _pick(reports: dict, *ids):
@@ -403,12 +419,12 @@ def eval_disk_bound(t, cert: DiskCertificate, *, w=None, norm=None):
     Pass precomputed w/norm to skip their recomputation; otherwise both are
     measured here.
     """
-    return _pick(_disk_reports(t, cert, w, norm), "T2_2", "E2_4")
+    return _pick(_one(t, cert, w, norm), "T2_2", "E2_4")
 
 
 def eval_sector_gap(a, s: SectorPair, *, w=None, norm=None):
     """Report C2_7: the norm-radius gap bound under the sector hypothesis."""
-    return _pick(_sector_reports(a, s, w, norm), "C2_7")
+    return _pick(_one(a, s, w, norm), "C2_7")
 
 
 def eval_radius_ratio(t, cert: DiskCertificate, *, w=None, norm=None):
@@ -419,7 +435,7 @@ def eval_radius_ratio(t, cert: DiskCertificate, *, w=None, norm=None):
     leave the reals. The refinement flag records r/|lambda| <= sqrt(3)/2, the
     regime where T3_2 sharpens the universal w >= norm/2.
     """
-    return _pick(_disk_reports(t, cert, w, norm), "T3_2", "R3_5")
+    return _pick(_one(t, cert, w, norm), "T3_2", "R3_5")
 
 
 def eval_sector_ratio(a, s: SectorPair, *, w=None, norm=None):
@@ -429,7 +445,7 @@ def eval_sector_ratio(a, s: SectorPair, *, w=None, norm=None):
     |center| > radius for the equivalent disk. The refinement flag records
     |phi - varphi| <= sqrt(3)/2 * |phi + varphi|.
     """
-    return _pick(_sector_reports(a, s, w, norm), "C3_6", "C3_7")
+    return _pick(_one(a, s, w, norm), "C3_6", "C3_7")
 
 
 def eval_disk_gap_weighted(t, cert: DiskCertificate, *, w=None, norm=None):
@@ -438,12 +454,12 @@ def eval_disk_gap_weighted(t, cert: DiskCertificate, *, w=None, norm=None):
     Requires |lambda| > r; on hypothesis failure the square root in the
     denominator is clamped to 0 for the diagnostic value.
     """
-    return _pick(_disk_reports(t, cert, w, norm), "T4_2")
+    return _pick(_one(t, cert, w, norm), "T4_2")
 
 
 def eval_sector_gap_weighted(a, s: SectorPair, *, w=None, norm=None):
     """Report C4_6: squared-gap bound weighted by w, for a sector pair."""
-    return _pick(_sector_reports(a, s, w, norm), "C4_6")
+    return _pick(_one(a, s, w, norm), "C4_6")
 
 
 def eval_segment_bounds(a, s: SectorPair, *, w=None, norm=None):
@@ -452,27 +468,36 @@ def eval_segment_bounds(a, s: SectorPair, *, w=None, norm=None):
     The hypothesis is the sector check for (varphi, phi) = (m, M); R4_9 is a
     ratio bound (lhs = norm/w), the others bound differences.
     """
-    return _pick(_sector_reports(a, s, w, norm), "R4_9", "R4_10", "R4_11", "R4_12")
+    return _pick(_one(a, s, w, norm), "R4_9", "R4_10", "R4_11", "R4_12")
 
 
-def verify_all(t, certs, *, w=None, norm=None) -> list[InequalityReport]:
+def verify_all(t, certs) -> list:
     """Run every applicable evaluator for each certificate.
 
-    The radius and norm are computed once and shared, and each certificate's
-    hypothesis is checked once. Hypothesis failures are recorded in the
-    reports; bounds that are structurally inapplicable to a certificate (zero
-    operator, nonpositive Re(phi * conj(varphi)), missing real segment) are
-    skipped rather than raised. Reports come back sorted by the canonical
-    identifier order, stably over certificates.
+    T is one matrix, which gives one report list, or a stack (..., n, n),
+    which gives one report list per matrix, in order; each list equals the
+    one its matrix gets alone. The radii and norms of the stack are computed
+    once, with one `numerical_radius` and one norm call, and each
+    certificate's hypothesis is checked once for the whole stack.
+    Hypothesis failures are recorded in the reports; bounds that are
+    structurally inapplicable to a certificate (zero operator, nonpositive
+    Re(phi * conj(varphi)), missing real segment) are skipped rather than
+    raised. Reports come back sorted by the canonical identifier order,
+    stably over certificates.
     """
-    t, w, norm = _prepared(t, w, norm)
-    reports = [
-        rep
-        for cert in certs
-        for rep in _reports(t, cert, w, norm).values()
-        if isinstance(rep, InequalityReport)
+    t = _as_stack(t)
+    stack = t.reshape(-1, *t.shape[-2:])
+    w, norm = numerical_radius(stack), _spectral_norms(stack)
+    maps = [_reports(stack, cert, w, norm) for cert in certs]
+    lists = [
+        sorted(
+            (rep for per_cert in maps for rep in per_cert[i].values()
+             if isinstance(rep, InequalityReport)),
+            key=lambda rep: _ID_ORDER[rep.inequality_id],
+        )
+        for i in range(len(stack))
     ]
-    return sorted(reports, key=lambda rep: _ID_ORDER[rep.inequality_id])
+    return lists[0] if t.ndim == 2 else lists
 
 
 def optimize_lambda(t) -> DiskCertificate:
@@ -509,9 +534,8 @@ def optimize_lambda(t) -> DiskCertificate:
     re, im = np.meshgrid(xs, xs)
     cand = (re + 1j * im).ravel()
     cand = cand[np.abs(cand) <= cap]
-    grid = np.arange(SEED_GRID) * (2.0 * np.pi / SEED_GRID)
-    h = np.linalg.eigvalsh(_hermitian_stack(t[None], t.conj()[None], [0] * SEED_GRID, grid))[:, -1]
-    lb = (h - (cand[:, None] * np.exp(1j * grid)).real).max(axis=1)
+    h = _seed_supports(t[None], t.conj()[None])[0][0]
+    lb = (h - (cand[:, None] * np.exp(1j * _SEED_ANGLES)).real).max(axis=1)
     u = float(shifted_norms(t, cand[[np.argmin(lb)]])[0])
     live = np.flatnonzero(lb <= u + _PRUNE_RTOL * cap)
     vals = shifted_norms(t, cand[live])

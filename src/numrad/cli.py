@@ -26,6 +26,7 @@ from .bounds import (
     verify_all,
 )
 from .extremal import (
+    _unit,
     gen_disk_instance,
     gen_nilpotent_instance,
     gen_segment_instance,
@@ -40,12 +41,11 @@ from .io import (
     write_boundary_csv,
     write_boundary_svg,
 )
-from .linalg import _spectral_norms, operator_norm
-from .numrange import numerical_radius, range_summary
+from .numrange import range_summary
 
 ENSEMBLES = ("disk", "segment", "ginibre", "nilpotent")
-# Sweep trials measured together: one stacked radius and one stacked norm
-# call per chunk.
+# Sweep trials drawn and verified together: one draw call and one
+# verify_all call per chunk.
 _CHUNK = 64
 
 
@@ -86,42 +86,48 @@ class SweepConfig:
                 raise ValueError(f"ensemble {self.ensemble!r} requires {flag}")
 
 
-def _sweep_instance(cfg: SweepConfig, seed: int):
-    """One (matrix, certificate) draw for the configured ensemble.
+def _certificate(cfg: SweepConfig):
+    """The one certificate that every trial of the sweep is verified against.
 
-    disk and segment instances satisfy their hypotheses by construction;
-    ginibre and nilpotent draws are tested against the fixed user-supplied
-    disk certificate, so hypothesis failures there are expected data.
+    disk and segment draws satisfy it by construction; ginibre and nilpotent
+    draws are tested against the user-supplied disk, so hypothesis failures
+    there are expected data.
     """
     p = cfg.params
-    if cfg.ensemble == "disk":
-        return gen_disk_instance(p["lam"], p["r"], cfg.n, seed)
     if cfg.ensemble == "segment":
-        return gen_segment_instance(p["m"], p["M"], cfg.n, seed)
-    cert = DiskCertificate(lam=p["lam"], r=p["r"])
+        return SectorPair.from_segment(p["m"], p["M"])
+    return DiskCertificate(lam=p["lam"], r=p["r"])
+
+
+def _draw(cfg: SweepConfig, seeds) -> np.ndarray:
+    """The trial matrices of the configured ensemble, one per seed, as a stack."""
+    p = cfg.params
+    if cfg.ensemble == "disk":
+        return gen_disk_instance(p["lam"], p["r"], cfg.n, seeds)[0]
+    if cfg.ensemble == "segment":
+        return gen_segment_instance(p["m"], p["M"], cfg.n, seeds)[0]
     if cfg.ensemble == "ginibre":
-        g = ginibre(cfg.n, np.random.default_rng(seed))
-        return g / operator_norm(g), cert
-    t = gen_nilpotent_instance(cfg.n, seed)
-    return t, cert
+        return _unit(np.array([ginibre(cfg.n, np.random.default_rng(int(s))) for s in seeds]))
+    return gen_nilpotent_instance(cfg.n, seeds)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     """Run the ensemble and aggregate per-identifier slack statistics.
 
-    Each trial is drawn on its own, and the radii and norms of _CHUNK trials
-    are measured together; every report equals the one-trial verify_all's.
+    Trial i is drawn from its own seed. The trials are drawn and verified in
+    chunks of _CHUNK, with one draw and one verify_all call per chunk; every
+    report equals the one verify_all gives its trial alone.
     """
     trial_seeds = np.random.default_rng(cfg.seed).integers(
         0, 2**63, size=cfg.trials, dtype=np.uint64
     )
+    cert = _certificate(cfg)
     stats: dict[str, dict] = {}
     violations = 0
     for start in range(0, cfg.trials, _CHUNK):
-        draws = [_sweep_instance(cfg, int(seed)) for seed in trial_seeds[start:start + _CHUNK]]
-        stack = np.array([t for t, _ in draws], dtype=complex)
-        for (t, cert), w, norm in zip(draws, numerical_radius(stack), _spectral_norms(stack)):
-            for rep in verify_all(t, [cert], w=w, norm=norm):
+        stack = _draw(cfg, trial_seeds[start:start + _CHUNK])
+        for reports in verify_all(stack, [cert]):
+            for rep in reports:
                 rec = stats.setdefault(
                     rep.inequality_id,
                     {"evaluated": 0, "hypothesis_failures": 0, "slacks": []},

@@ -114,16 +114,20 @@ def _spectral_norms(s: np.ndarray):
     Frobenius norm of S brackets that top eigenvalue within a factor n; when
     it leaves [_GRAM_MIN, _GRAM_MAX], S*S would under- or overflow, and S is
     first scaled by a power of two (see `pow2_scaled`). For a stack, that
-    test is on the whole stack, and each matrix then takes its own power of
-    two. An all-zero input skips the eigensolver: the searches measure an
-    exactly zero T^2 on every trial.
+    test and the scaling are made for each matrix on its own, so a norm does
+    not depend on its neighbours. An all-zero input skips the eigensolver:
+    the searches measure an exactly zero T^2 on every trial.
     """
     e = 0
-    fro2 = float(np.vdot(s, s).real)
-    if not _GRAM_MIN <= fro2 <= _GRAM_MAX:
+    v = np.ascontiguousarray(s).view(float).reshape(*s.shape[:-2], -1)
+    fro2 = np.einsum("...i,...i->...", v, v)
+    out = (fro2 < _GRAM_MIN) | (fro2 > _GRAM_MAX)
+    if out.any():
         if not s.any():
             return np.zeros(s.shape[:-2])
-        s, e = pow2_scaled(s)
+        scaled, e = pow2_scaled(s)
+        s = np.where(out[..., None, None], scaled, s)
+        e = np.where(out, e, 0)
     try:
         top = np.linalg.eigvalsh(s.conj().swapaxes(-1, -2) @ s)[..., -1]
     except np.linalg.LinAlgError as exc:
@@ -145,8 +149,7 @@ def shifted_norms(t: np.ndarray, lams) -> np.ndarray:
 
     T may also be a stack (..., n, n); the result then has shape
     (..., len(lams)). One batched Hermitian sweep over the Gram matrices of
-    the shifted stack, with the scaling guard of `_spectral_norms`, which
-    decides on the whole stack.
+    the shifted stack, with the scaling guard of `_spectral_norms`.
     """
     lams = np.asarray(lams, dtype=complex)
     return _spectral_norms(t[..., None, :, :] - lams[:, None, None] * np.eye(t.shape[-1]))

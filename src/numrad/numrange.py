@@ -39,8 +39,10 @@ __all__ = [
 # Default number of boundary angles in range_summary.
 BOUNDARY_GRID = 512
 # Radius seed grid: its local maxima start Newton. The level-set test, not
-# this grid, finds the global basin, so the grid can be coarse.
+# this grid, finds the global basin, so the grid can be coarse. It is even,
+# so that its second half is its first half turned by pi (see _seed_supports).
 SEED_GRID = 16
+_SEED_ANGLES = np.arange(SEED_GRID) * (2.0 * np.pi / SEED_GRID)
 # The radius is certified at the level r = L (1 + LEVEL_RTOL) above the
 # attained value L: well above eigensolver roundoff, so a converged L passes.
 LEVEL_RTOL = 1e-12
@@ -79,6 +81,22 @@ def _hermitian_stack(a: np.ndarray, ac: np.ndarray, owner: np.ndarray, thetas) -
     np.multiply(ph, h, out=h)
     np.multiply(np.conj(ph), g, out=g)
     return np.multiply(0.5, np.add(h, g, out=h), out=h)
+
+
+def _seed_supports(a: np.ndarray, ac: np.ndarray):
+    """Support values of each matrix of the stack a (B, n, n) at the
+    _SEED_ANGLES, shape (B, SEED_GRID), and its H(theta) at the first half of
+    them, shape (B, SEED_GRID // 2, n, n).
+
+    Since H(theta + pi) = -H(theta), one eigvalsh over the first half gives
+    both: angle k + SEED_GRID / 2 takes -lambda_min of angle k. Those values
+    agree with a sweep of every angle to eigensolver roundoff, not bit for bit.
+    """
+    count, n, half = a.shape[0], a.shape[-1], SEED_GRID // 2
+    pairs = np.arange(count).repeat(half), np.tile(_SEED_ANGLES[:half], count)
+    stack = _hermitian_stack(a, ac, *pairs).reshape(count, half, n, n)
+    vals = np.linalg.eigvalsh(stack)
+    return np.concatenate([vals[..., -1], -vals[..., 0]], axis=1), stack
 
 
 class Boundary(NamedTuple):
@@ -187,13 +205,14 @@ def numerical_radius(a):
 
     Certified level-set iteration (He & Watson 1997; Mengi & Overton 2005):
 
-    1. The local maxima of f on a SEED_GRID-angle grid start Newton steps
-       (see `_polish`); L is the largest f met, attained at an explicit
-       angle, so L <= w(A).
+    1. The local maxima of f on a SEED_GRID-angle grid (see
+       `_seed_supports`) start Newton steps (see `_polish`); L is the
+       largest f met, attained at an explicit angle, so L <= w(A).
     2. Level-set test at r = L (1 + LEVEL_RTOL). With theta = phi + 2 atan(t),
        (1 + t^2)(H(theta) - r I) is the Hermitian quadratic
        P(t) = t^2 (H(psi) - r I) - 2 t H'(psi) - (H(psi) + r I), where
-       psi = phi + pi is the grid minimum of f. So r is an eigenvalue of
+       psi = phi + pi is the grid minimum of f; at an angle of the grid's
+       second half, H(psi) is taken as -H(psi - pi). So r is an eigenvalue of
        H(theta) exactly when det P(t) = 0, and the leading coefficient is
        negative definite because f(psi) <= L < r: its inverse and the
        eigenvalues of the 2n x 2n companion matrix give every crossing.
@@ -220,18 +239,16 @@ def numerical_radius(a):
     a, e = a[nonzero], e[nonzero]
     ac = a.conj()
     count = a.shape[0]
-    grid = np.arange(SEED_GRID) * (2.0 * np.pi / SEED_GRID)
-    pairs = np.arange(count).repeat(SEED_GRID), grid[None].repeat(count, axis=0).ravel()
-    stack = _hermitian_stack(a, ac, *pairs).reshape(count, SEED_GRID, n, n)
-    sup = np.linalg.eigvalsh(stack)[..., -1]
+    sup, stack = _seed_supports(a, ac)
     ring = np.concatenate([sup[:, -1:], sup, sup[:, :1]], axis=1)
     owner, k = np.nonzero((sup >= ring[:, :-2]) & (sup >= ring[:, 2:]))
     best = sup.max(axis=1)
-    _polish(a, ac, *_starts(owner, grid[k], sup[owner, k]), best)
+    _polish(a, ac, *_starts(owner, _SEED_ANGLES[k], sup[owner, k]), best)
 
     k = np.argmin(sup, axis=1)
-    psi = grid[k]
-    h = stack[np.arange(count), k]
+    psi = _SEED_ANGLES[k]
+    half = stack.shape[1]
+    h = stack[np.arange(count), k % half] * np.where(k < half, 1.0, -1.0)[:, None, None]
     ah = ac.swapaxes(-1, -2)
     dh = 0.5j * (np.exp(1j * psi)[:, None, None] * a - np.exp(-1j * psi)[:, None, None] * ah)
     eye = np.eye(n)

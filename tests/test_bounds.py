@@ -29,6 +29,7 @@ from numrad.bounds import (
 )
 from numrad.extremal import (
     gen_disk_instance,
+    gen_nilpotent_instance,
     gen_segment_instance,
     ginibre,
     shift2,
@@ -225,6 +226,25 @@ def test_gap_squared_shift2_center_at_radius():
 def test_gap_squared_overclaimed_rho_fails():
     rep = gap_squared(np.eye(2), DiskCertificate(lam=2.0, r=1.5, rho=1.5))
     assert not rep.hypothesis_ok  # | |lambda| - w | = 1 < claimed 1.5
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-150, 1e150])
+def test_rho_and_center_coincidence_tolerances_are_relative(scale):
+    # | |lambda| - w(S2) | is 0.5 |lambda| at every scale, so auto rho is
+    # C2_13 and a claimed rho holds below that gap and fails above it; at
+    # |lambda| = w = 0.5 |lambda| auto rho is the special case R2_15.
+    t = scale * shift2()
+    for lam, rho, iid, ok in [
+        (1.0, None, "C2_13", True),
+        (1.0, 0.4, "C2_13", True),
+        (1.0, 0.6, "C2_13", False),
+        (0.5, None, "R2_15", True),
+    ]:
+        cert = DiskCertificate(lam=lam * scale, r=2.0 * scale, rho=None if rho is None else rho * scale)
+        rep = gap_squared(t, cert)
+        assert (rep.inequality_id, rep.hypothesis_ok) == (iid, ok), (lam, rho)
+        if rho is not None and not ok:
+            assert "claimed rho" in rep.diagnostic
 
 
 def test_gap_squared_auto_rho_away_from_center():
@@ -481,6 +501,63 @@ def test_verify_all_checks_each_hypothesis_once(monkeypatch):
     reps = verify_all(a, [s, sector_to_disk(s)])
     assert len(reps) == 14
     assert sorted(calls) == ["check_disk", "check_sector_hypothesis"]
+    calls.clear()
+    assert verify_all(np.array([a, 2.0 * a, a]), [s, sector_to_disk(s)])[2] == reps
+    assert sorted(calls) == ["check_disk", "check_sector_hypothesis"]
+
+
+# Certificates of every kind: one that the disk draws pass, one with a rho,
+# one that fails everywhere, a segment pair in both sector modes, a complex
+# accretive pair and a degenerate pair.
+STACK_CERTS = [
+    DiskCertificate(lam=1 + 0.5j, r=0.4),
+    DiskCertificate(lam=0.5, r=1.2, rho=0.1),
+    DiskCertificate(lam=3.0, r=0.1),
+    SectorPair.from_segment(1.0, 3.0),
+    SectorPair.from_segment(1.0, 3.0, mode=ACCRETIVE),
+    SectorPair(phi=2 + 1j, varphi=0.5 - 1j),
+    SectorPair(phi=1.0, varphi=-1.0),
+]
+
+
+def mixed_stack(n, k):
+    """A draw of every sweep ensemble, a zero matrix, and two of them scaled by 2^k."""
+    g = ginibre(n, np.random.default_rng(60 + n))
+    mats = [gen_disk_instance(1 + 0.5j, 0.4, n, 1)[0], gen_segment_instance(1.0, 3.0, n, 2)[0],
+            g / operator_norm(g), np.zeros((n, n), dtype=complex)]
+    if n >= 2:
+        mats.append(gen_nilpotent_instance(n, 3))
+    return np.array(mats + [mats[0] * 2.0**k, mats[2] * 2.0**k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_verify_all_equals_one_matrix_at_a_time(n):
+    # 2^-600 neighbours only: at 2^600 the report formulas overflow (norm^2),
+    # alone as in a stack.
+    stack = mixed_stack(n, -600)
+    lists = verify_all(stack, STACK_CERTS)
+    assert len(lists) == len(stack)
+    for t, reps in zip(stack, lists):
+        assert reps == verify_all(t, STACK_CERTS)
+        assert all(type(rep.w) is float and type(rep.norm) is float for rep in reps)
+    assert verify_all(stack[:1], STACK_CERTS) == lists[:1]
+    assert verify_all(stack, []) == [[]] * len(stack)
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_stacked_checks_equal_one_matrix_at_a_time(k):
+    stack = mixed_stack(4, k)
+    checks = [(check_disk, cert) for cert in STACK_CERTS[:3]]
+    if k < 0:
+        # B = (A* - conj(varphi) I)(phi I - A) overflows at 2^600, alone as in a stack.
+        checks += [(check_sector_hypothesis, pair) for pair in STACK_CERTS[3:]]
+    for check, cert in checks:
+        ok, value = check(stack, cert)
+        assert ok.shape == value.shape == (len(stack),)
+        alone = [check(t, cert) for t in stack]
+        assert all(type(o) is bool and type(v) is float for o, v in alone)
+        assert list(zip(ok.tolist(), value.tolist())) == alone
+        assert not ok.all()
 
 
 # ------------------------------------------------------ consistency checks

@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 import numrad.cli as cli
-from numrad.bounds import SLACK_TOL, InequalityReport, verify_all
-from numrad.extremal import gen_disk_instance, shift2
+from numrad.bounds import SLACK_TOL, DiskCertificate, InequalityReport, verify_all
+from numrad.extremal import (
+    gen_disk_instance,
+    gen_nilpotent_instance,
+    gen_segment_instance,
+    ginibre,
+    shift2,
+)
 from numrad.io import load_matrix, reports_to_jsonl, save_matrix
+from numrad.linalg import operator_norm
 from test_bounds import dense_kinds, full_grid_lambda
+from test_numrange import count_calls
 
 
 @pytest.fixture()
@@ -258,7 +266,7 @@ def test_sweep_exit_one_on_violation(monkeypatch, capsys):
         inequality_id="T2_2", hypothesis_ok=True, diagnostic="forged", lhs=1.0,
         rhs=0.0, slack=-1.0, w=0.5, norm=1.0,
     )
-    monkeypatch.setattr(cli, "verify_all", lambda *a, **k: [bogus])
+    monkeypatch.setattr(cli, "verify_all", lambda t, certs: [[bogus]] * len(t))
     code = run_cli("sweep", "--ensemble", "disk", "--n", "2", "--trials", "2",
                    "--seed", "1", "--lambda", "1,0", "--r", "0.5")
     capsys.readouterr()
@@ -273,12 +281,26 @@ SWEEP_PARAMS = {
 }
 
 
+def one_trial_draw(cfg, seed):
+    """(matrix, certificate) of one trial, drawn through the public generators with an int seed."""
+    p = cfg.params
+    if cfg.ensemble == "disk":
+        return gen_disk_instance(p["lam"], p["r"], cfg.n, seed)
+    if cfg.ensemble == "segment":
+        return gen_segment_instance(p["m"], p["M"], cfg.n, seed)
+    cert = DiskCertificate(lam=p["lam"], r=p["r"])
+    if cfg.ensemble == "ginibre":
+        g = ginibre(cfg.n, np.random.default_rng(seed))
+        return g / operator_norm(g), cert
+    return gen_nilpotent_instance(cfg.n, seed), cert
+
+
 def one_trial_at_a_time(cfg):
     """(inequalities table, violations) of cfg from one verify_all(t, [cert]) per trial."""
     seeds = np.random.default_rng(cfg.seed).integers(0, 2**63, size=cfg.trials, dtype=np.uint64)
     evaluated, failures, slacks, violations = {}, {}, {}, 0
     for seed in seeds:
-        t, cert = cli._sweep_instance(cfg, int(seed))
+        t, cert = one_trial_draw(cfg, int(seed))
         for rep in verify_all(t, [cert]):
             iid = rep.inequality_id
             evaluated[iid] = evaluated.get(iid, 0) + 1
@@ -311,6 +333,20 @@ def test_chunked_sweep_is_bit_identical_to_one_trial_at_a_time(ensemble):
         assert list(aggregate["inequalities"]) == list(table)
         assert aggregate["inequalities"] == table
         assert aggregate["slack_violations"] == violations == code == 0
+
+
+@pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
+def test_sweep_lapack_calls_grow_with_chunks_not_trials(ensemble, monkeypatch):
+    # The LAPACK calls grow with the chunks of 64 trials, not with the trials:
+    # at most 32 per chunk, where one check or draw norm per trial would
+    # alone make 64. The second chunk may take a Newton step or a level-set
+    # test more than the first, so its count is bounded, not compared.
+    calls = count_calls(monkeypatch, "eigvalsh", "eigh", "eigvals")
+    for trials in (64, 128):
+        calls.clear()
+        cli.run_sweep(cli.SweepConfig(ensemble=ensemble, n=4, trials=trials, seed=3,
+                                      params=SWEEP_PARAMS[ensemble]))
+        assert len(calls) <= 32 * (trials // 64)
 
 
 # ------------------------------------------------------------------- search

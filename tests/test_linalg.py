@@ -12,6 +12,7 @@ from numrad.linalg import (
     operator_norm,
     shifted_norms,
 )
+from numrad.linalg import _spectral_norms
 from numrad.numrange import numerical_radius
 
 
@@ -199,3 +200,19 @@ def test_shifted_norms_of_a_stack_match_one_matrix_at_a_time():
             single = shifted_norms(stack[i], lams)
             assert single.shape == (len(lams),)
             assert norms[i].tobytes() == single.tobytes()
+
+
+def test_stacked_norms_scale_each_matrix_on_its_own():
+    # S*S of a 2^-600 matrix underflows next to O(1) neighbours unless the
+    # scaling guard decides for each matrix on its own.
+    rng = np.random.default_rng(30)
+    for n in (1, 3):
+        a = rand_matrix(rng, n)
+        for k in (-600, 600):
+            stack = np.array([a, a * 2.0**k, np.zeros((n, n)), a])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                norms = _spectral_norms(stack)
+            alone = [operator_norm(m) for m in stack]
+            assert norms.tolist() == alone
+            assert alone[1] == alone[0] * 2.0**k

@@ -19,7 +19,10 @@ from numrad.extremal import (
 from numrad.linalg import hermitian_eigen, operator_norm
 from numrad.numrange import (
     _ORACLE_CHUNK,
+    _SEED_ANGLES,
     LEVEL_RTOL,
+    SEED_GRID,
+    _seed_supports,
     is_convex_polyline,
     numerical_radius,
     numerical_radius_oracle,
@@ -184,6 +187,23 @@ def test_radius_matches_fine_sweep_and_certifies_its_level():
         level = w * (1.0 + LEVEL_RTOL)
         assert abs(w - ref) <= 1e-12 * ref, ensemble
         assert ref <= level <= ref * (1.0 + 1e-11), ensemble
+
+
+def test_half_grid_seed_supports_match_every_angle():
+    rng = np.random.default_rng(71)
+    g = rand_matrix(rng, 5)
+    mats = [g, rand_hermitian(rng, 4), gen_nilpotent_instance(6, 2), np.array([[3.0 - 4.0j]]),
+            g * 2.0**1000, g * 2.0**-1000]
+    ph = np.exp(1j * _SEED_ANGLES)[:, None, None]
+    for a in mats:
+        a = a.astype(complex)
+        sup, half = _seed_supports(a[None], a.conj()[None])
+        full = np.linalg.eigvalsh(0.5 * (ph * a + ph.conj() * a.conj().T))[:, -1]
+        assert sup.shape == (1, SEED_GRID) and half.shape == (1, SEED_GRID // 2, *a.shape)
+        # Eigensolver roundoff of two eigenproblems: a few n eps max |a_ij|.
+        assert np.all(np.abs(sup[0] - full) <= 4 * len(a) * np.finfo(float).eps * np.abs(a).max())
+        # The first half is the full sweep's own eigenproblem, bit for bit.
+        assert sup[0, : SEED_GRID // 2].tolist() == full[: SEED_GRID // 2].tolist()
 
 
 def count_calls(monkeypatch, *names):
