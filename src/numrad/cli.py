@@ -100,22 +100,30 @@ def _certificate(cfg: SweepConfig):
 
 
 def _draw(cfg: SweepConfig, seeds) -> np.ndarray:
-    """The trial matrices of the configured ensemble, one per seed, as a stack."""
+    """The trial matrices of the configured ensemble, one per seed, as a stack.
+
+    Every trial is one generator call on its int seed, so that generator
+    calls and generator time stay per drawn matrix in the benchmark's trace
+    (`perfbench/tracer.py`, `extremal.gen`); the ginibre draws share one
+    normalising norm call.
+    """
     p = cfg.params
-    if cfg.ensemble == "disk":
-        return gen_disk_instance(p["lam"], p["r"], cfg.n, seeds)[0]
-    if cfg.ensemble == "segment":
-        return gen_segment_instance(p["m"], p["M"], cfg.n, seeds)[0]
     if cfg.ensemble == "ginibre":
         return _unit(np.array([ginibre(cfg.n, np.random.default_rng(int(s))) for s in seeds]))
-    return gen_nilpotent_instance(cfg.n, seeds)
+    if cfg.ensemble == "disk":
+        draws = [gen_disk_instance(p["lam"], p["r"], cfg.n, int(s))[0] for s in seeds]
+    elif cfg.ensemble == "segment":
+        draws = [gen_segment_instance(p["m"], p["M"], cfg.n, int(s))[0] for s in seeds]
+    else:
+        draws = [gen_nilpotent_instance(cfg.n, int(s)) for s in seeds]
+    return np.array(draws)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     """Run the ensemble and aggregate per-identifier slack statistics.
 
     Trial i is drawn from its own seed. The trials are drawn and verified in
-    chunks of _CHUNK, with one draw and one verify_all call per chunk; every
+    chunks of _CHUNK, with one _draw and one verify_all call per chunk; every
     report equals the one verify_all gives its trial alone.
     """
     trial_seeds = np.random.default_rng(cfg.seed).integers(

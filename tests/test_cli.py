@@ -337,16 +337,30 @@ def test_chunked_sweep_is_bit_identical_to_one_trial_at_a_time(ensemble):
 
 @pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
 def test_sweep_lapack_calls_grow_with_chunks_not_trials(ensemble, monkeypatch):
-    # The LAPACK calls grow with the chunks of 64 trials, not with the trials:
-    # at most 32 per chunk, where one check or draw norm per trial would
+    # The verification's LAPACK calls grow with the chunks of 64 trials, not
+    # with the trials: at most 32 per chunk, where one check per trial would
     # alone make 64. The second chunk may take a Newton step or a level-set
-    # test more than the first, so its count is bounded, not compared.
+    # test more than the first, so its count is bounded, not compared. Each
+    # trial is one generator call, which normalises its draw with at most
+    # one call of its own.
     calls = count_calls(monkeypatch, "eigvalsh", "eigh", "eigvals")
+    draw_calls = []
+    draw = cli._draw
+
+    def counted_draw(cfg, seeds):
+        before = len(calls)
+        stack = draw(cfg, seeds)
+        draw_calls.append(len(calls) - before)
+        return stack
+
+    monkeypatch.setattr(cli, "_draw", counted_draw)
     for trials in (64, 128):
         calls.clear()
+        draw_calls.clear()
         cli.run_sweep(cli.SweepConfig(ensemble=ensemble, n=4, trials=trials, seed=3,
                                       params=SWEEP_PARAMS[ensemble]))
-        assert len(calls) <= 32 * (trials // 64)
+        assert sum(draw_calls) <= trials
+        assert len(calls) - sum(draw_calls) <= 32 * (trials // 64)
 
 
 # ------------------------------------------------------------------- search
