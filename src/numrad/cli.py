@@ -26,7 +26,6 @@ from .bounds import (
     verify_all,
 )
 from .extremal import (
-    _unit,
     gen_disk_instance,
     gen_nilpotent_instance,
     gen_segment_instance,
@@ -41,6 +40,7 @@ from .io import (
     write_boundary_csv,
     write_boundary_svg,
 )
+from .linalg import _spectral_norms
 from .numrange import range_summary
 
 ENSEMBLES = ("disk", "segment", "ginibre", "nilpotent")
@@ -102,14 +102,13 @@ def _certificate(cfg: SweepConfig):
 def _draw(cfg: SweepConfig, seeds) -> np.ndarray:
     """The trial matrices of the configured ensemble, one per seed, as a stack.
 
-    Every trial is one generator call on its int seed, so that generator
-    calls and generator time stay per drawn matrix in the benchmark's trace
-    (`perfbench/tracer.py`, `extremal.gen`); the ginibre draws share one
-    normalising norm call.
+    Every trial is one generator call on its int seed; the ginibre draws
+    share one normalising norm call.
     """
     p = cfg.params
     if cfg.ensemble == "ginibre":
-        return _unit(np.array([ginibre(cfg.n, np.random.default_rng(int(s))) for s in seeds]))
+        g = np.array([ginibre(cfg.n, np.random.default_rng(int(s))) for s in seeds])
+        return g / _spectral_norms(g)[:, None, None]
     if cfg.ensemble == "disk":
         draws = [gen_disk_instance(p["lam"], p["r"], cfg.n, int(s))[0] for s in seeds]
     elif cfg.ensemble == "segment":

@@ -64,54 +64,31 @@ def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre draw with phase fix."""
-    return _haar(ginibre(n, rng))
-
-
-def _haar(g: np.ndarray) -> np.ndarray:
-    """The phase-fixed Q factor of each Ginibre matrix of g, one QR call for a stack."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
-def _generators(seed):
-    """(generators, single): default_rng(seed) for an int seed, else one per
-    seed of a 1-D sequence."""
-    if np.ndim(seed) == 0:
-        return [np.random.default_rng(seed)], True
-    if np.ndim(seed) != 1:
-        raise ValueError("seed must be an int or a 1-D sequence of ints")
-    return [np.random.default_rng(int(s)) for s in seed], False
-
-
-def _unit(t: np.ndarray) -> np.ndarray:
-    """Each matrix of the stack t divided by its spectral norm."""
-    return t / _spectral_norms(t)[:, None, None]
+    q, r = np.linalg.qr(ginibre(n, rng))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def gen_disk_instance(lam, r, n, seed) -> tuple[np.ndarray, DiskCertificate]:
     """Random T = lam I + u r C with ||C|| = 1, u uniform in [0, 1).
 
     ||T - lam I|| = u r <= r, so the returned certificate passes check_disk
-    by construction. Deterministic per seed. seed is an int, which gives one
-    matrix, or a 1-D sequence of ints, which gives a stack (len(seed), n, n)
-    whose matrix i is the one seed[i] gives; the certificate is shared.
+    by construction. Deterministic per seed.
     """
     lam = complex(lam)
     r = float(r)
     n = int(n)
     if lam == 0 or r <= 0 or n < 1:
         raise ValueError("need lam != 0, r > 0, n >= 1")
-    rngs, single = _generators(seed)
-    g = np.array([ginibre(n, rng) for rng in rngs])
-    u = np.array([rng.uniform() for rng in rngs])
-    t = _disk_instance(lam, r, _unit(g), u)
-    return (t[0] if single else t), DiskCertificate(lam=lam, r=r)
+    rng = np.random.default_rng(seed)
+    g = ginibre(n, rng)
+    c = g / operator_norm(g)
+    u = float(rng.uniform())
+    return _disk_instance(lam, r, c, u), DiskCertificate(lam=lam, r=r)
 
 
 def _disk_instance(lam, r, c, u) -> np.ndarray:
-    """lam I + u r C, for one C and number u or a stack of C and an array of u."""
-    return lam * np.eye(c.shape[-1], dtype=complex) + np.asarray(u * r)[..., None, None] * c
+    return lam * np.eye(c.shape[0], dtype=complex) + (u * r) * c
 
 
 def gen_segment_instance(m, M, n, seed) -> tuple[np.ndarray, SectorPair]:
@@ -119,21 +96,19 @@ def gen_segment_instance(m, M, n, seed) -> tuple[np.ndarray, SectorPair]:
 
     Built as U diag(d) U* for a Haar unitary U, then symmetrized to kill
     roundoff asymmetry. The returned segment pair (varphi, phi) = (m, M)
-    passes the operator-order sector check by construction. seed is an int
-    or a 1-D sequence of ints, as in `gen_disk_instance`.
+    passes the operator-order sector check by construction.
     """
     m = float(m)
     M = float(M)
     n = int(n)
     if not (0 < m <= M) or n < 1:
         raise ValueError("need M >= m > 0 and n >= 1")
-    rngs, single = _generators(seed)
-    draws = [(rng.uniform(m, M, size=n), ginibre(n, rng)) for rng in rngs]
-    d = np.array([di for di, _ in draws])
-    u = _haar(np.array([g for _, g in draws]))
-    a = (u * d[:, None, :]) @ u.conj().swapaxes(-1, -2)
-    a = 0.5 * (a + a.conj().swapaxes(-1, -2))
-    return (a[0] if single else a), SectorPair.from_segment(m, M)
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(m, M, size=n)
+    u = random_unitary(n, rng)
+    a = (u * d) @ u.conj().T
+    a = 0.5 * (a + a.conj().T)
+    return a, SectorPair.from_segment(m, M)
 
 
 def gen_nilpotent_instance(n, seed) -> np.ndarray:
@@ -142,17 +117,13 @@ def gen_nilpotent_instance(n, seed) -> np.ndarray:
     A Ginibre block is placed below a random diagonal split, giving a block
     strictly lower triangular matrix whose square vanishes identically (an
     elementwise strictly triangular fill would not square to zero for n > 2).
-    seed is an int or a 1-D sequence of ints, as in `gen_disk_instance`.
     """
     n = int(n)
     if n < 2:
         raise ValueError("need n >= 2")
-    rngs, single = _generators(seed)
-    t = np.zeros((len(rngs), n, n), dtype=complex)
-    for ti, rng in zip(t, rngs):
-        _fill_square_zero(ti, rng)
-    t = _unit(t)
-    return t[0] if single else t
+    t = np.zeros((n, n), dtype=complex)
+    _fill_square_zero(t, np.random.default_rng(seed))
+    return t / operator_norm(t)
 
 
 def _fill_square_zero(t: np.ndarray, rng: np.random.Generator) -> None:

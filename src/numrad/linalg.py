@@ -119,12 +119,13 @@ def _spectral_norms(s: np.ndarray):
     the searches measure an exactly zero T^2 on every trial.
     """
     e = 0
-    v = np.ascontiguousarray(s).view(float).reshape(*s.shape[:-2], -1)
+    v = np.ascontiguousarray(s).view(float)
+    v = v.reshape(*s.shape[:-2], v.shape[-2] * v.shape[-1])
     fro2 = np.einsum("...i,...i->...", v, v)
-    out = (fro2 < _GRAM_MIN) | (fro2 > _GRAM_MAX)
-    if out.any():
+    if not (_GRAM_MIN <= fro2.min(initial=np.inf) and fro2.max(initial=0.0) <= _GRAM_MAX):
         if not s.any():
             return np.zeros(s.shape[:-2])
+        out = (fro2 < _GRAM_MIN) | (fro2 > _GRAM_MAX)
         scaled, e = pow2_scaled(s)
         s = np.where(out[..., None, None], scaled, s)
         e = np.where(out, e, 0)

@@ -151,58 +151,6 @@ def test_nilpotent_instance_needs_n2():
         gen_nilpotent_instance(1, 0)
 
 
-# ------------------------------------------------------------ seed sequences
-
-
-def one_seed_reference(kind, n, seed):
-    """The matrix of one int seed, drawn and normalised one matrix at a time."""
-    rng = np.random.default_rng(seed)
-    if kind == "disk":
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        c = g / operator_norm(g)
-        u = float(rng.uniform())
-        return (1 + 0.5j) * np.eye(n, dtype=complex) + (u * 0.4) * c
-    if kind == "segment":
-        d = rng.uniform(1.0, 3.0, size=n)
-        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        a = (u * d) @ u.conj().T
-        return 0.5 * (a + a.conj().T)
-    k = int(rng.integers(1, n))
-    t = np.zeros((n, n), dtype=complex)
-    t[k:, :k] = rng.standard_normal((n - k, k)) + 1j * rng.standard_normal((n - k, k))
-    return t / operator_norm(t)
-
-
-GENERATORS = {
-    "disk": lambda n, seed: gen_disk_instance(1 + 0.5j, 0.4, n, seed)[0],
-    "segment": lambda n, seed: gen_segment_instance(1.0, 3.0, n, seed)[0],
-    "nilpotent": gen_nilpotent_instance,
-}
-
-
-@pytest.mark.parametrize(
-    "kind, n", [(kind, n) for kind in GENERATORS for n in (1, 2, 4, 8) if kind != "nilpotent" or n > 1]
-)
-def test_generators_given_seeds_equal_one_seed_at_a_time(kind, n):
-    gen = GENERATORS[kind]
-    seeds = [0, 7, 2**63 - 1, 123456789, 7]
-    want = np.array([one_seed_reference(kind, n, seed) for seed in seeds])
-    assert all(gen(n, seed).tobytes() == ref.tobytes() for seed, ref in zip(seeds, want))
-    for seq in (seeds, np.array(seeds, dtype=np.uint64), tuple(seeds)):
-        got = gen(n, seq)
-        assert got.shape == (len(seeds), n, n)
-        assert got.tobytes() == want.tobytes()
-    assert gen(n, seeds[1:2]).tobytes() == want[1:2].tobytes()
-    with pytest.raises(ValueError):
-        gen(n, [seeds])
-
-
-def test_generators_share_one_certificate_over_seeds():
-    assert gen_disk_instance(1.0, 0.5, 3, [1, 2])[1] == gen_disk_instance(1.0, 0.5, 3, 1)[1]
-    assert gen_segment_instance(1.0, 4.0, 3, [1, 2])[1] == gen_segment_instance(1.0, 4.0, 3, 2)[1]
-
-
 # ------------------------------------------------------------------ searches
 
 
