@@ -4,114 +4,41 @@ The library computes the numerical range boundary, the numerical radius, and
 the operator norm of dense complex matrices, evaluates a family of reverse
 bounds on the norm-radius gap under disk and sector certificates, and runs
 randomized ensemble sweeps and extremal searches around them.
+
+The top level exports what the demos and the README quickstart use; every
+other name is imported from its submodule, such as `numrad.bounds`.
 """
 
-from .bounds import (
-    ACCRETIVE,
-    INEQUALITY_IDS,
-    OPERATOR_ORDER,
-    SLACK_TOL,
-    DegenerateSector,
-    DiskCertificate,
-    InequalityReport,
-    InvalidInterval,
-    InvalidRho,
-    InvalidSector,
-    SectorPair,
-    ZeroOperator,
-    check_disk,
-    check_sector_hypothesis,
-    eval_disk_bound,
-    eval_disk_gap_weighted,
-    eval_radius_ratio,
-    eval_sector_gap,
-    eval_sector_gap_weighted,
-    eval_sector_ratio,
-    eval_segment_bounds,
-    optimize_lambda,
-    sector_to_disk,
-    verify_all,
-)
+from .bounds import DiskCertificate, SectorPair, check_disk, optimize_lambda, verify_all
 from .extremal import (
-    SearchResult,
     candidate_violations,
-    gen_disk_instance,
-    gen_nilpotent_instance,
     gen_segment_instance,
     ginibre,
     orthogonal_ranges_check,
     probe_equality_case,
-    random_unitary,
     search_sqrt_disk,
     shift2,
 )
-from .linalg import (
-    HermitianEigen,
-    NoConvergence,
-    NotHermitian,
-    as_matrix,
-    hermitian_eigen,
-    operator_norm,
-)
-from .numrange import (
-    Boundary,
-    RangeSummary,
-    is_convex_polyline,
-    numerical_radius,
-    numerical_radius_oracle,
-    numerical_range_boundary,
-    range_summary,
-)
+from .linalg import operator_norm
+from .numrange import numerical_radius, numerical_radius_oracle, range_summary
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACCRETIVE",
-    "INEQUALITY_IDS",
-    "OPERATOR_ORDER",
-    "SLACK_TOL",
-    "Boundary",
-    "DegenerateSector",
     "DiskCertificate",
-    "HermitianEigen",
-    "InequalityReport",
-    "InvalidInterval",
-    "InvalidRho",
-    "InvalidSector",
-    "NoConvergence",
-    "NotHermitian",
-    "RangeSummary",
-    "SearchResult",
     "SectorPair",
-    "ZeroOperator",
-    "as_matrix",
     "candidate_violations",
     "check_disk",
-    "check_sector_hypothesis",
-    "eval_disk_bound",
-    "eval_disk_gap_weighted",
-    "eval_radius_ratio",
-    "eval_sector_gap",
-    "eval_sector_gap_weighted",
-    "eval_sector_ratio",
-    "eval_segment_bounds",
-    "gen_disk_instance",
-    "gen_nilpotent_instance",
     "gen_segment_instance",
     "ginibre",
-    "hermitian_eigen",
-    "is_convex_polyline",
     "numerical_radius",
     "numerical_radius_oracle",
-    "numerical_range_boundary",
     "operator_norm",
     "optimize_lambda",
     "orthogonal_ranges_check",
     "probe_equality_case",
-    "random_unitary",
     "range_summary",
     "search_sqrt_disk",
-    "sector_to_disk",
     "shift2",
     "verify_all",
 ]

@@ -56,7 +56,6 @@ __all__ = [
     "InequalityReport",
     "ACCRETIVE",
     "OPERATOR_ORDER",
-    "INEQUALITY_IDS",
     "SLACK_TOL",
     "check_disk",
     "sector_to_disk",
@@ -169,9 +168,9 @@ class SectorPair:
             raise ValueError(f"unknown sector mode {self.mode!r}")
 
     @classmethod
-    def from_segment(cls, m: float, M: float, mode: str = OPERATOR_ORDER) -> "SectorPair":
-        """Real specialization: spectrum-style segment [m, M] with varphi = m, phi = M."""
-        return cls(phi=complex(M), varphi=complex(m), mode=mode)
+    def from_segment(cls, m: float, M: float) -> "SectorPair":
+        """Real specialization: segment [m, M] as varphi = m, phi = M, in OPERATOR_ORDER mode."""
+        return cls(phi=complex(M), varphi=complex(m), mode=OPERATOR_ORDER)
 
     def segment(self) -> tuple[float, float] | None:
         """(m, M) when both endpoints are essentially real, else None.
@@ -252,6 +251,11 @@ def sector_to_disk(s: SectorPair) -> DiskCertificate:
     return DiskCertificate(lam=(s.phi + s.varphi) / 2.0, r=abs(s.phi - s.varphi) / 2.0)
 
 
+def _ldexp(z, e):
+    """z 2^e for complex z, exact in each part and its sign (x + 1j y loses a -0.0 x)."""
+    return np.ldexp(np.stack([np.real(z), np.imag(z)], -1), e[..., None]).view(complex)[..., 0]
+
+
 def check_sector_hypothesis(a, s: SectorPair):
     """Test the sector hypothesis on A; returns (ok, min eigenvalue).
 
@@ -263,10 +267,15 @@ def check_sector_hypothesis(a, s: SectorPair):
     eigenvalue is taken there. OPERATOR_ORDER mode additionally requires B to
     be self-adjoint. Both tolerances are relative to the product of the two
     factors' Frobenius norms, which bounds the rounding error in forming B.
+    B is formed from A, phi and varphi times the power of two per matrix that
+    brings the largest of max|a_ij|, |phi| and |varphi| into [1/2, 1), and
+    the minimum eigenvalue is scaled back: the verdict is the same at any scale.
     """
     a = _as_stack(a)
+    e = np.frexp(np.maximum(np.abs(a).max(axis=(-2, -1)), max(abs(s.phi), abs(s.varphi))))[1]
+    a, phi, varphi = (_ldexp(z, -e[..., None, None]) for z in (a, s.phi, s.varphi))
     eye = np.eye(a.shape[-1])
-    left, right = a.conj().swapaxes(-1, -2) - np.conj(s.varphi) * eye, s.phi * eye - a
+    left, right = a.conj().swapaxes(-1, -2) - np.conj(varphi) * eye, phi * eye - a
     b = left @ right
     bh = b.conj().swapaxes(-1, -2)
     scale = np.linalg.norm(left, axis=(-2, -1)) * np.linalg.norm(right, axis=(-2, -1))
@@ -274,7 +283,7 @@ def check_sector_hypothesis(a, s: SectorPair):
     ok = min_eig >= -PSD_TOL * scale
     if s.mode == OPERATOR_ORDER:
         ok &= np.linalg.norm(b - bh, axis=(-2, -1)) <= SYM_RTOL * scale
-    return _verdicts(a, ok, min_eig)
+    return _verdicts(a, ok, np.ldexp(min_eig, 2 * e))
 
 
 def _disk_reports(cert: DiskCertificate, ok, measured, w, norm) -> dict:

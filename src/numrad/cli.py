@@ -41,7 +41,7 @@ from .io import (
     write_boundary_svg,
 )
 from .linalg import _spectral_norms
-from .numrange import range_summary
+from .numrange import BOUNDARY_GRID, range_summary
 
 ENSEMBLES = ("disk", "segment", "ginibre", "nilpotent")
 # Sweep trials drawn and verified together: one draw call and one
@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="radius, norm, and boundary CSV of a matrix")
     p.add_argument("matrix", help="matrix JSON file")
-    p.add_argument("--grid", type=int, default=512, help="boundary angles in the CSV (default 512)")
+    p.add_argument("--grid", type=int, default=BOUNDARY_GRID,
+                   help=f"boundary angles in the CSV (default {BOUNDARY_GRID})")
     p.add_argument("--out", default=None, help="boundary CSV path (default <matrix>.boundary.csv)")
     p.set_defaults(func=cmd_compute)
 
@@ -288,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="SVG plot of the boundary with w and norm circles")
     p.add_argument("matrix", help="matrix JSON file")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--grid", type=int, default=512, help="boundary angles (default 512)")
+    p.add_argument("--grid", type=int, default=BOUNDARY_GRID,
+                   help=f"boundary angles (default {BOUNDARY_GRID})")
     p.set_defaults(func=cmd_plot)
 
     return parser

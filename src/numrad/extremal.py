@@ -28,13 +28,12 @@ __all__ = [
     "candidate_violations",
     "search_sqrt_disk",
     "probe_equality_case",
-    "DEFAULT_LAMBDA_GRID",
 ]
 
 # Log-spaced centers for the sqrt-disk search. Feasible centers necessarily
 # lie in roughly [0.38, 2.62] for a unit-norm candidate; the grid brackets
 # that range generously.
-DEFAULT_LAMBDA_GRID = np.geomspace(0.0625, 4.0, 25)
+_LAMBDA_GRID = np.geomspace(0.0625, 4.0, 25)
 # Trials measured together by the searches, one stacked norm call per
 # quantity. At 256 the search's peak memory grew by 13% for a gain within 3%.
 _CHUNK = 64
@@ -163,14 +162,14 @@ def candidate_violations(t, lam) -> tuple[float, float, float]:
     return norm_dev, nilpotency, disk_excess
 
 
-def _search(n, iters, seed, lam_values, lam_radius) -> SearchResult:
+def _search(n, iters, seed, lam_values, allowed) -> SearchResult:
     """Random-restart search over unit-norm square-zero candidates.
 
     Each trial derives its own generator from (seed, trial index), draws a
     block strictly lower triangular Ginibre candidate normalized to unit
-    norm, and picks the grid center minimizing the disk excess (against
-    lam_radius(lam)). Pure restart, no local polish: the feasible set may be
-    empty, so wide coverage matters more than refinement. Trials are
+    norm, and picks the center in lam_values minimizing the disk excess over
+    its allowed radius. Pure restart, no local polish: the feasible set may
+    be empty, so wide coverage matters more than refinement. Trials are
     measured in chunks of _CHUNK, one stacked norm call per quantity; the
     results equal those of one trial at a time bit for bit. Returns the
     lowest-score result, ties resolved to the earliest trial.
@@ -181,8 +180,6 @@ def _search(n, iters, seed, lam_values, lam_radius) -> SearchResult:
         raise ValueError("need n >= 2")
     if iters < 1:
         raise ValueError("need iters >= 1")
-    lam_values = np.asarray(lam_values, dtype=float)
-    allowed = lam_radius(lam_values)
     best: SearchResult | None = None
     for start in range(0, iters, _CHUNK):
         ts = np.zeros((min(_CHUNK, iters - start), n, n), dtype=complex)
@@ -212,16 +209,14 @@ def _search(n, iters, seed, lam_values, lam_radius) -> SearchResult:
     return best
 
 
-def search_sqrt_disk(n, iters, seed, lam_values=None) -> SearchResult:
+def search_sqrt_disk(n, iters, seed) -> SearchResult:
     """Search for unit-norm T with T^2 = 0 and ||T - lambda I|| <= sqrt(lambda).
 
     Centers lambda run over a log grid in (0, 4]. A score of 0 would exhibit
     a feasible operator; a positive best score only reports the smallest
     violation reached, it is no evidence of infeasibility.
     """
-    if lam_values is None:
-        lam_values = DEFAULT_LAMBDA_GRID
-    return _search(n, iters, seed, lam_values, lambda lam: np.sqrt(lam))
+    return _search(n, iters, seed, _LAMBDA_GRID, np.sqrt(_LAMBDA_GRID))
 
 
 def probe_equality_case(n, iters, seed) -> SearchResult:
@@ -232,4 +227,4 @@ def probe_equality_case(n, iters, seed) -> SearchResult:
     tight; the probe reports the best achievable score without deciding
     whether a feasible operator exists.
     """
-    return _search(n, iters, seed, np.array([1.0]), lambda lam: np.ones_like(lam))
+    return _search(n, iters, seed, np.array([1.0]), np.ones(1))

@@ -23,7 +23,6 @@ __all__ = [
     "write_boundary_csv",
     "report_to_obj",
     "reports_to_jsonl",
-    "write_reports",
     "search_result_to_obj",
     "write_boundary_svg",
 ]
@@ -102,10 +101,6 @@ def report_to_obj(rep) -> dict:
 
 def reports_to_jsonl(reports) -> str:
     return "".join(json.dumps(report_to_obj(rep)) + "\n" for rep in reports)
-
-
-def write_reports(path, reports) -> None:
-    Path(path).write_text(reports_to_jsonl(reports), encoding="utf-8")
 
 
 def search_result_to_obj(res) -> dict:

@@ -152,8 +152,30 @@ def test_sector_hypothesis_verdict_is_scale_invariant(mode):
     inside, _ = gen_segment_instance(1.0, 4.0, 3, 0)
     for a, m, M, verdict in ((outside, 0.9, 1.6, False), (inside, 1.0, 4.0, True)):
         for scale in (1.0, 1e-6, 1e-150):
-            s = SectorPair.from_segment(scale * m, scale * M, mode=mode)
+            s = SectorPair(scale * M, scale * m, mode)
             assert check_sector_hypothesis(scale * a, s)[0] is verdict
+
+
+@pytest.mark.parametrize("k", [511, -511, -540, 600, -600])
+def test_sector_hypothesis_is_exact_at_extreme_scales(k):
+    # Unscaled, B overflows to inf near 2^511 (the Frobenius tolerance too)
+    # and underflows to 0 near 2^-540, which passed the failing pair; at
+    # 2^600 eigvalsh did not converge. Past 2^511 the scaled-back minimum
+    # eigenvalue is +-inf or 0, but it is still 2^(2k) times the unit one.
+    a, _ = gen_segment_instance(1.0, 4.0, 4, 3)
+    s = 2.0**k
+    with np.errstate(over="ignore"):
+        for (m, M), verdict in (((2.0, 3.0), False), ((1.0, 4.0), True)):
+            ok, unit = check_sector_hypothesis(a, SectorPair.from_segment(m, M))
+            assert ok is verdict
+            pair = SectorPair.from_segment(s * m, s * M)
+            assert check_sector_hypothesis(s * a, pair) == (verdict, float(np.ldexp(unit, 2 * k)))
+            stack = np.array([s * a, a, a / s])
+            oks, values = check_sector_hypothesis(stack, pair)
+            assert oks[0] == verdict
+            assert list(zip(oks.tolist(), values.tolist())) == [
+                check_sector_hypothesis(t, pair) for t in stack
+            ]
 
 
 def test_sector_to_disk():
@@ -390,7 +412,7 @@ def test_segment_bounds_accretive_nonnormal():
     a, _ = gen_segment_instance(1.5, 3.5, 4, 11)
     k = ginibre(4, rng)
     a = a + 0.02 * k / operator_norm(k)
-    s = SectorPair.from_segment(1.0, 4.0, mode=ACCRETIVE)
+    s = SectorPair(4.0, 1.0, ACCRETIVE)
     ok, _ = check_sector_hypothesis(a, s)
     assert ok
     reps = eval_segment_bounds(a, s)
@@ -514,7 +536,7 @@ STACK_CERTS = [
     DiskCertificate(lam=0.5, r=1.2, rho=0.1),
     DiskCertificate(lam=3.0, r=0.1),
     SectorPair.from_segment(1.0, 3.0),
-    SectorPair.from_segment(1.0, 3.0, mode=ACCRETIVE),
+    SectorPair(3.0, 1.0, ACCRETIVE),
     SectorPair(phi=2 + 1j, varphi=0.5 - 1j),
     SectorPair(phi=1.0, varphi=-1.0),
 ]
@@ -548,13 +570,13 @@ def test_stacked_verify_all_equals_one_matrix_at_a_time(n):
 def test_stacked_checks_equal_one_matrix_at_a_time(k):
     stack = mixed_stack(4, k)
     checks = [(check_disk, cert) for cert in STACK_CERTS[:3]]
-    if k < 0:
-        # B = (A* - conj(varphi) I)(phi I - A) overflows at 2^600, alone as in a stack.
-        checks += [(check_sector_hypothesis, pair) for pair in STACK_CERTS[3:]]
+    checks += [(check_sector_hypothesis, pair) for pair in STACK_CERTS[3:]]
     for check, cert in checks:
-        ok, value = check(stack, cert)
+        # At 2^600 a sector check's minimum eigenvalue, about 2^1200, is inf.
+        with np.errstate(over="ignore"):
+            ok, value = check(stack, cert)
+            alone = [check(t, cert) for t in stack]
         assert ok.shape == value.shape == (len(stack),)
-        alone = [check(t, cert) for t in stack]
         assert all(type(o) is bool and type(v) is float for o, v in alone)
         assert list(zip(ok.tolist(), value.tolist())) == alone
         assert not ok.all()

@@ -5,7 +5,6 @@ import pytest
 
 from numrad.bounds import OPERATOR_ORDER, check_disk, check_sector_hypothesis
 from numrad.extremal import (
-    DEFAULT_LAMBDA_GRID,
     candidate_violations,
     gen_disk_instance,
     gen_nilpotent_instance,
@@ -17,7 +16,7 @@ from numrad.extremal import (
     search_sqrt_disk,
     shift2,
 )
-from numrad.extremal import _CHUNK, SearchResult, _disk_instance
+from numrad.extremal import _CHUNK, _LAMBDA_GRID, SearchResult, _disk_instance
 from numrad.linalg import hermitian_eigen, operator_norm, shifted_norms
 from numrad.numrange import numerical_radius
 
@@ -180,7 +179,7 @@ def test_search_deterministic_and_structured():
     assert r1.score == r2.score
     assert r1.nilpotency == 0.0
     assert r1.norm_dev <= 1e-12
-    assert r1.lam.real in DEFAULT_LAMBDA_GRID
+    assert r1.lam.real in _LAMBDA_GRID
     assert r1.score >= 0.0
 
 
@@ -245,7 +244,7 @@ def test_chunked_search_is_bit_identical_to_one_trial_at_a_time(equality, n):
     if equality:
         lam_values, allowed = np.array([1.0]), np.ones(1)
     else:
-        lam_values, allowed = DEFAULT_LAMBDA_GRID, np.sqrt(DEFAULT_LAMBDA_GRID)
+        lam_values, allowed = _LAMBDA_GRID, np.sqrt(_LAMBDA_GRID)
     for iters in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
         if equality:
             got = probe_equality_case(n, iters, seed=17)
