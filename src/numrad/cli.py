@@ -10,6 +10,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -26,10 +27,10 @@ from .bounds import (
     verify_all,
 )
 from .extremal import (
-    gen_disk_instance,
-    gen_nilpotent_instance,
-    gen_segment_instance,
-    ginibre,
+    _disk_stack,
+    _ginibre_stack,
+    _nilpotent_stack,
+    _segment_stack,
     probe_equality_case,
     search_sqrt_disk,
 )
@@ -40,7 +41,6 @@ from .io import (
     write_boundary_csv,
     write_boundary_svg,
 )
-from .linalg import _spectral_norms
 from .numrange import BOUNDARY_GRID, range_summary
 
 ENSEMBLES = ("disk", "segment", "ginibre", "nilpotent")
@@ -102,20 +102,20 @@ def _certificate(cfg: SweepConfig):
 def _draw(cfg: SweepConfig, seeds) -> np.ndarray:
     """The trial matrices of the configured ensemble, one per seed, as a stack.
 
-    Every trial is one generator call on its int seed; the ginibre draws
-    share one normalising norm call.
+    seeds is a list of ints. Each trial draws from default_rng of its seed
+    with one ginibre call, in the order of the one-trial generators. The
+    chunk is then finished in one pass: one stacked norm call normalises the
+    disk, ginibre and nilpotent draws, and one batched QR makes the segment
+    draws' unitaries.
     """
     p = cfg.params
-    if cfg.ensemble == "ginibre":
-        g = np.array([ginibre(cfg.n, np.random.default_rng(int(s))) for s in seeds])
-        return g / _spectral_norms(g)[:, None, None]
     if cfg.ensemble == "disk":
-        draws = [gen_disk_instance(p["lam"], p["r"], cfg.n, int(s))[0] for s in seeds]
-    elif cfg.ensemble == "segment":
-        draws = [gen_segment_instance(p["m"], p["M"], cfg.n, int(s))[0] for s in seeds]
-    else:
-        draws = [gen_nilpotent_instance(cfg.n, int(s)) for s in seeds]
-    return np.array(draws)
+        return _disk_stack(p["lam"], p["r"], cfg.n, seeds)
+    if cfg.ensemble == "segment":
+        return _segment_stack(p["m"], p["M"], cfg.n, seeds)
+    if cfg.ensemble == "nilpotent":
+        return _nilpotent_stack(cfg.n, seeds)
+    return _ginibre_stack(cfg.n, seeds)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
@@ -123,7 +123,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
 
     Trial i is drawn from its own seed. The trials are drawn and verified in
     chunks of _CHUNK, with one _draw and one verify_all call per chunk; every
-    report equals the one verify_all gives its trial alone.
+    drawn matrix equals its one-trial generator's, and every report the one
+    verify_all gives its trial alone.
     """
     trial_seeds = np.random.default_rng(cfg.seed).integers(
         0, 2**63, size=cfg.trials, dtype=np.uint64
@@ -132,7 +133,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     stats: dict[str, dict] = {}
     violations = 0
     for start in range(0, cfg.trials, _CHUNK):
-        stack = _draw(cfg, trial_seeds[start:start + _CHUNK])
+        stack = _draw(cfg, trial_seeds[start:start + _CHUNK].tolist())
         for reports in verify_all(stack, [cert]):
             for rep in reports:
                 rec = stats.setdefault(
@@ -241,7 +242,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `numrad` argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="numrad",
         description="Numerical range, numerical radius, and reverse bound verification.",
@@ -253,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=BOUNDARY_GRID,
                    help=f"boundary angles in the CSV (default {BOUNDARY_GRID})")
     p.add_argument("--out", default=None, help="boundary CSV path (default <matrix>.boundary.csv)")
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="evaluate the reverse bounds for given certificates")
     p.add_argument("matrix", help="matrix JSON file")
@@ -264,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=parse_complex, default=None, metavar="RE,IM")
     p.add_argument("--varphi", type=parse_complex, default=None, metavar="RE,IM")
     p.add_argument("--order", action="store_true", help="sector pair in operator-order mode")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="random ensemble sweep with aggregate slack stats")
     p.add_argument("--ensemble", choices=ENSEMBLES, required=True)
@@ -275,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--M", type=float, default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("search", help="extremal random searches")
     group = p.add_mutually_exclusive_group(required=True)
@@ -284,14 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("plot", help="SVG plot of the boundary with w and norm circles")
     p.add_argument("matrix", help="matrix JSON file")
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--grid", type=int, default=BOUNDARY_GRID,
                    help=f"boundary angles (default {BOUNDARY_GRID})")
-    p.set_defaults(func=cmd_plot)
 
     return parser
 
@@ -299,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, not stored in the cached parser, so a command
+        # rebound after the parser was built (a tracer, a test) still runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,16 +56,31 @@ def orthogonal_ranges_check(t) -> bool:
     return sq <= 1e-10 * float(np.linalg.norm(t)) ** 2
 
 
-def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Matrix of independent standard complex Gaussian entries."""
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def ginibre(n, rng: np.random.Generator) -> np.ndarray:
+    """Matrix of independent standard complex Gaussian entries.
+
+    n x n for an int n, else of the shape n, such as (rows, cols). The real
+    parts are drawn first, then the imaginary parts, one call each.
+    """
+    shape = (n, n) if np.ndim(n) == 0 else n
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre draw with phase fix."""
-    q, r = np.linalg.qr(ginibre(n, rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar(ginibre(n, rng)[None])[0]
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of Ginibre draws: one batched QR and phase fix."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _unit_norm(g: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack g over its spectral norm, with one stacked norm call."""
+    return g / _spectral_norms(g)[:, None, None]
 
 
 def gen_disk_instance(lam, r, n, seed) -> tuple[np.ndarray, DiskCertificate]:
@@ -74,20 +89,22 @@ def gen_disk_instance(lam, r, n, seed) -> tuple[np.ndarray, DiskCertificate]:
     ||T - lam I|| = u r <= r, so the returned certificate passes check_disk
     by construction. Deterministic per seed.
     """
-    lam = complex(lam)
-    r = float(r)
-    n = int(n)
+    return _disk_stack(lam, r, n, [seed])[0], DiskCertificate(lam=lam, r=r)
+
+
+def _disk_stack(lam, r, n, seeds) -> np.ndarray:
+    """gen_disk_instance's matrices, one per seed, as a stack (B, n, n)."""
+    lam, r, n = complex(lam), float(r), int(n)
     if lam == 0 or r <= 0 or n < 1:
         raise ValueError("need lam != 0, r > 0, n >= 1")
-    rng = np.random.default_rng(seed)
-    g = ginibre(n, rng)
-    c = g / operator_norm(g)
-    u = float(rng.uniform())
-    return _disk_instance(lam, r, c, u), DiskCertificate(lam=lam, r=r)
+    # Each generator draws its trial's numbers in the one-trial order.
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    c = _unit_norm(np.array([ginibre(n, rng) for rng in rngs]))
+    return _disk_instance(lam, r, c, np.array([rng.uniform() for rng in rngs]))
 
 
 def _disk_instance(lam, r, c, u) -> np.ndarray:
-    return lam * np.eye(c.shape[0], dtype=complex) + (u * r) * c
+    return lam * np.eye(c.shape[-1], dtype=complex) + (np.asarray(u) * r)[..., None, None] * c
 
 
 def gen_segment_instance(m, M, n, seed) -> tuple[np.ndarray, SectorPair]:
@@ -97,17 +114,19 @@ def gen_segment_instance(m, M, n, seed) -> tuple[np.ndarray, SectorPair]:
     roundoff asymmetry. The returned segment pair (varphi, phi) = (m, M)
     passes the operator-order sector check by construction.
     """
-    m = float(m)
-    M = float(M)
-    n = int(n)
+    return _segment_stack(m, M, n, [seed])[0], SectorPair.from_segment(m, M)
+
+
+def _segment_stack(m, M, n, seeds) -> np.ndarray:
+    """gen_segment_instance's matrices, one per seed, as a stack (B, n, n)."""
+    m, M, n = float(m), float(M), int(n)
     if not (0 < m <= M) or n < 1:
         raise ValueError("need M >= m > 0 and n >= 1")
-    rng = np.random.default_rng(seed)
-    d = rng.uniform(m, M, size=n)
-    u = random_unitary(n, rng)
-    a = (u * d) @ u.conj().T
-    a = 0.5 * (a + a.conj().T)
-    return a, SectorPair.from_segment(m, M)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    d = np.array([rng.uniform(m, M, size=n) for rng in rngs])
+    u = _haar(np.array([ginibre(n, rng) for rng in rngs]))
+    a = (u * d[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def gen_nilpotent_instance(n, seed) -> np.ndarray:
@@ -117,19 +136,30 @@ def gen_nilpotent_instance(n, seed) -> np.ndarray:
     strictly lower triangular matrix whose square vanishes identically (an
     elementwise strictly triangular fill would not square to zero for n > 2).
     """
+    return _nilpotent_stack(n, [seed])[0]
+
+
+def _nilpotent_stack(n, seeds) -> np.ndarray:
+    """gen_nilpotent_instance's matrices, one per seed, as a stack (B, n, n)."""
     n = int(n)
     if n < 2:
         raise ValueError("need n >= 2")
-    t = np.zeros((n, n), dtype=complex)
-    _fill_square_zero(t, np.random.default_rng(seed))
-    return t / operator_norm(t)
+    t = np.zeros((len(seeds), n, n), dtype=complex)
+    for ti, seed in zip(t, seeds):
+        _fill_square_zero(ti, np.random.default_rng(seed))
+    return _unit_norm(t)
+
+
+def _ginibre_stack(n, seeds) -> np.ndarray:
+    """Unit-norm Ginibre matrices, one per seed, as a stack (B, n, n)."""
+    return _unit_norm(np.array([ginibre(n, np.random.default_rng(seed)) for seed in seeds]))
 
 
 def _fill_square_zero(t: np.ndarray, rng: np.random.Generator) -> None:
     """Fill the zero matrix t with a Ginibre block below a random diagonal split."""
     n = t.shape[-1]
     k = int(rng.integers(1, n))
-    t[k:, :k] = rng.standard_normal((n - k, k)) + 1j * rng.standard_normal((n - k, k))
+    t[k:, :k] = ginibre((n - k, k), rng)
 
 
 @dataclass(frozen=True)

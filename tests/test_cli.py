@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import numrad.cli as cli
-from numrad.bounds import SLACK_TOL, DiskCertificate, InequalityReport, verify_all
+from numrad.bounds import (
+    ACCRETIVE,
+    OPERATOR_ORDER,
+    SLACK_TOL,
+    DiskCertificate,
+    InequalityReport,
+    SectorPair,
+    verify_all,
+)
 from numrad.extremal import (
     gen_disk_instance,
     gen_nilpotent_instance,
@@ -396,17 +404,62 @@ def test_plot_svg(s2_file, tmp_path, capsys):
     assert "polygon" in text
 
 
+# ------------------------------------------------------------- the parser
+
+
+def test_one_parser_serves_every_call_without_leaking_state(s2_file, monkeypatch, capsys):
+    # build_parser is cached, so one parser object parses every main() call
+    # of a process. A flag or default of one call must not reach the next:
+    # each argv parses to what a freshly built parser gives it, and the
+    # second verify, without --order, reports an accretive sector pair.
+    assert cli.build_parser() is cli.build_parser()
+    fresh = cli.build_parser.__wrapped__
+    sector = ["verify", str(s2_file), "--phi", "2,0", "--varphi", "0.5,0"]
+    ordered, accretive = sector + ["--order"], sector
+    bad = ["verify", str(s2_file), "--phi", "2,zero", "--varphi", "0.5,0"]
+    good = ["verify", str(s2_file), "--lambda", "1,0", "--r", "2"]
+    outputs = []
+    for argv in (ordered, accretive, bad, good):
+        if argv is bad:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        else:
+            assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert vars(cli.build_parser().parse_args(accretive)) == vars(fresh().parse_args(accretive))
+        assert vars(cli.build_parser().parse_args(good)) == vars(fresh().parse_args(good))
+    a = load_matrix(s2_file)
+    assert outputs[0] == reports_to_jsonl(verify_all(a, [SectorPair(2, 0.5, OPERATOR_ORDER)]))
+    assert outputs[1] == reports_to_jsonl(verify_all(a, [SectorPair(2, 0.5, ACCRETIVE)]))
+    assert outputs[0] != outputs[1]
+    assert outputs[2] == ""
+    assert outputs[3] == reports_to_jsonl(verify_all(a, [DiskCertificate(lam=1, r=2)]))
+    # A command rebound after the parser was built, as the benchmark's tracer
+    # rebinds them, is the one that runs.
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.order) or 0)
+    assert cli.main(ordered) == 0
+    assert seen == [True]
+
+
 # ----------------------------------------------------------- entry points
 
 
 def test_module_is_executable(s2_file):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # pytest's pythonpath setting does not reach a subprocess, so src/ is
+    # put on its PYTHONPATH: the test then runs from a bare checkout too.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "numrad", "compute", str(s2_file), "--out",
          str(s2_file.parent / "out.csv")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("w=")

@@ -16,7 +16,16 @@ from numrad.extremal import (
     search_sqrt_disk,
     shift2,
 )
-from numrad.extremal import _CHUNK, _LAMBDA_GRID, SearchResult, _disk_instance
+from numrad.extremal import (
+    _CHUNK,
+    _LAMBDA_GRID,
+    SearchResult,
+    _disk_instance,
+    _disk_stack,
+    _ginibre_stack,
+    _nilpotent_stack,
+    _segment_stack,
+)
 from numrad.linalg import hermitian_eigen, operator_norm, shifted_norms
 from numrad.numrange import numerical_radius
 
@@ -148,6 +157,76 @@ def test_nilpotent_instance_square_zero_unit_norm():
 def test_nilpotent_instance_needs_n2():
     with pytest.raises(ValueError):
         gen_nilpotent_instance(1, 0)
+
+
+# ---------------------------------------------------------- stacked draws
+
+
+def _complex_normal(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def one_trial(ensemble, n, seed):
+    """One sweep draw by the per-trial formulas the generators used before stacking."""
+    rng = np.random.default_rng(seed)
+    if ensemble == "disk":
+        g = _complex_normal((n, n), rng)
+        c = g / operator_norm(g)
+        u = float(rng.uniform())
+        return (1 + 0.5j) * np.eye(n, dtype=complex) + (u * 0.4) * c
+    if ensemble == "segment":
+        d = rng.uniform(1.0, 3.0, size=n)
+        q, r = np.linalg.qr(_complex_normal((n, n), rng))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        a = (u * d) @ u.conj().T
+        return 0.5 * (a + a.conj().T)
+    if ensemble == "ginibre":
+        g = _complex_normal((n, n), rng)
+        return g / operator_norm(g)
+    t = np.zeros((n, n), dtype=complex)
+    k = int(rng.integers(1, n))
+    t[k:, :k] = _complex_normal((n - k, k), rng)
+    return t / operator_norm(t)
+
+
+STACKED = {
+    "disk": (lambda n, seeds: _disk_stack(1 + 0.5j, 0.4, n, seeds),
+             lambda n, seed: gen_disk_instance(1 + 0.5j, 0.4, n, seed)[0]),
+    "segment": (lambda n, seeds: _segment_stack(1.0, 3.0, n, seeds),
+                lambda n, seed: gen_segment_instance(1.0, 3.0, n, seed)[0]),
+    "ginibre": (_ginibre_stack, lambda n, seed: one_trial("ginibre", n, seed)),
+    "nilpotent": (_nilpotent_stack, gen_nilpotent_instance),
+}
+
+
+@pytest.mark.parametrize("ensemble", list(STACKED))
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_stacked_draws_equal_the_public_generators_bit_for_bit(ensemble, n):
+    # A chunk's stack is drawn in one pass (one stacked norm call, one batched
+    # QR), yet each matrix keeps the bytes its one-trial generator gives it,
+    # and the bytes of the per-trial formulas of the unstacked generators.
+    if ensemble == "nilpotent" and n == 1:
+        return
+    stacked, public = STACKED[ensemble]
+    for chunk in (1, 64, 65):
+        seeds = np.random.default_rng([n, chunk]).integers(0, 2**63, size=chunk, dtype=np.uint64)
+        seeds = [int(s) for s in seeds]
+        got = stacked(n, seeds)
+        assert got.shape == (chunk, n, n)
+        assert got.tobytes() == np.array([public(n, s) for s in seeds]).tobytes()
+        assert got.tobytes() == np.array([one_trial(ensemble, n, s) for s in seeds]).tobytes()
+
+
+def test_ginibre_block_draws_the_stream_of_the_old_fill_formula():
+    for rows in range(1, 8):
+        for cols in range(1, 8):
+            new, old = np.random.default_rng([rows, cols]), np.random.default_rng([rows, cols])
+            block = ginibre((rows, cols), new)
+            assert block.shape == (rows, cols)
+            assert block.tobytes() == _complex_normal((rows, cols), old).tobytes()
+            assert new.random() == old.random()
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    assert ginibre(3, rng).tobytes() == _complex_normal((3, 3), ref).tobytes()
 
 
 # ------------------------------------------------------------------ searches
