@@ -1,4 +1,9 @@
-"""Golden outputs: sha256 digests of `numrad sweep` and `numrad search` stdout.
+"""Golden outputs: sha256 digests of `numrad sweep`, `search`, `compute` and `verify`.
+
+A digest covers the command's stdout, and for `compute` also the boundary
+CSV it writes. `compute` and `verify` run on the benchmark's n = 32 dense
+matrices (`perfbench.workloads.dense_matrix`) of one seed, written as matrix
+files into the working directory.
 
 The digests pin the outputs from one commit to the next, so an output change
 is caught whether or not it was meant. They were made under numpy 2.4.6 and
@@ -11,10 +16,14 @@ here in the same commit and says in CHANGES.md which outputs moved and why.
 Regenerate the table with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
-import ast
 import contextlib
+import functools
 import hashlib
+import importlib.util
 import io
+import os
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +38,12 @@ SWEEP_TRIALS = 65
 SWEEP_SEED = 11
 SEARCH_ITERS = 200
 SEARCH_SEED = 5
+# The benchmark's dense workload cycles through 4 kinds; 8 inputs give two of each.
+DENSE_SEED = 1301
+DENSE_INPUTS = 8
 
-# Made from the tree at commit dce304c, before the stacked sweep draw.
+# The sweep and search digests were made from the tree at commit dce304c,
+# the compute and verify digests at commit 640a50d.
 DIGESTS = {
     "sweep --ensemble=disk --n=2 --trials=65 --seed=11 --lambda=1,0.5 --r=0.4":
         "d3d75d0b44cd8d9776b24e22cd8a405311db6de741ad1c5fef026967bbb97c9b",
@@ -60,23 +73,64 @@ DIGESTS = {
         "206da3f1da89b18eb025d8ae7cb1041b8e027688e5886da92861106a2dbdbefc",
     "search --problem --n=4 --iters=200 --seed=5":
         "a8540f3d4171f8b893f4a7ad0dc6e1b1eed48c714e84265c8ae0e327d093f399",
+    "compute m0.json --out=m0.csv":
+        "12b6e1a754335e73b8f4e34770852cc4fc0e3136e53995bb3dfe3f1a38bf45a9",
+    "verify m0.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
+        "0304655826a4bc371158af210af8125fac7aaa85d134b5c925c4faccbdd58c28",
+    "compute m1.json --out=m1.csv":
+        "420ab1aaf0ba1c916ab7c2bab13ee645c7089ef94c2440c23bd85e70e90ab3a5",
+    "verify m1.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
+        "7981fb9042c677d17e32e9f3ba500d066437f7fd4b3259f23def3219c1442797",
+    "compute m2.json --out=m2.csv":
+        "c2f499f2d6eeb40e207d67533320fe00f5e91dc181322f0cf9dee06f4b04b5af",
+    "verify m2.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
+        "c728cc15c55752aafd762a165e2a1e329eba5f7542d6721cd92b3b298555ced1",
+    "compute m3.json --out=m3.csv":
+        "340951a0a7be66402524e1f97eaa8c13e0d873390fdf385dcdcba1b513415552",
+    "verify m3.json --auto --phi=0.08384354252077744,-1.625013338905604 --varphi=-0.3364543909257569,-1.0689095244766018":
+        "2ce6905c9ccdd9ac1f58c38ab97de062ef539684067b48e1bc982b969c52c8a6",
+    "compute m4.json --out=m4.csv":
+        "d7a06af9f8ce4d300475bfd78d26309a27a814fd826e99c0cade52853e5673b1",
+    "verify m4.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
+        "3d21c95ce8d6d722e8a65f6e80cf4124b8cb33440edca19658efd367a1cc7076",
+    "compute m5.json --out=m5.csv":
+        "eb28afcbf05e3d243bdd228f8738207b2d7b7959357c6a60b34ad8efc3034a1c",
+    "verify m5.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
+        "da1b4b0220182f714c776c9f7310d71c50a4ffe92412f4f9567c1a14311d6c34",
+    "compute m6.json --out=m6.csv":
+        "7d800f1b19faccd693d0877dd27f135d6b04d7a428a49b6676c5a3851191fc16",
+    "verify m6.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
+        "f5f674794269a06b08febf28b291a72b2e437e3becbc8d4b091657b6c79377c6",
+    "compute m7.json --out=m7.csv":
+        "3d271582380e815bab5d2b647d75531a61edce2d36af4197c8a0c14ef4718547",
+    "verify m7.json --auto --phi=1.458915616945347,0.9909825649257914 --varphi=1.9143181327538223,0.8003938304268118":
+        "d4e08de39f7f575fa9dc635e6e74585e4291a7d922cab8f9236f1eba44b1c7db",
 }
 
 
-def _sweep_flags() -> dict:
-    """The benchmark's SWEEP_FLAGS, read from perfbench/workloads.py without importing it."""
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SWEEP_FLAGS"]:
-            return ast.literal_eval(node.value)
-    raise LookupError("perfbench/workloads.py defines no SWEEP_FLAGS")
+@functools.cache
+def _workloads():
+    """perfbench/workloads.py, loaded from its file (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_dense_inputs(directory: Path) -> None:
+    """The dense matrix files m0.json ... m7.json that the compute and verify argvs read."""
+    wl = _workloads()
+    for i in range(DENSE_INPUTS):
+        wl.write_matrix(directory / f"m{i}.json", wl.dense_matrix(DENSE_SEED, i)[0])
 
 
 def golden_argvs() -> list:
+    wl = _workloads()
     argvs = [
         ["sweep", f"--ensemble={ens}", f"--n={n}", f"--trials={SWEEP_TRIALS}",
          f"--seed={SWEEP_SEED}", *flags]
-        for ens, flags in _sweep_flags().items()
+        for ens, flags in wl.SWEEP_FLAGS.items()
         for n in (2, 4)
     ]
     argvs += [
@@ -84,15 +138,26 @@ def golden_argvs() -> list:
         for mode in ("--equality", "--problem")
         for n in (2, 3, 4)
     ]
+    for i in range(DENSE_INPUTS):
+        _, _, phi, varphi = wl.dense_matrix(DENSE_SEED, i)
+        argvs += [
+            ["compute", f"m{i}.json", f"--out=m{i}.csv"],
+            ["verify", f"m{i}.json", "--auto", f"--phi={wl._cplx(phi)}", f"--varphi={wl._cplx(varphi)}"],
+        ]
     return argvs
 
 
 def digest(argv: list) -> str:
+    """sha256 of the command's stdout, then of any --out file; run in the inputs' directory."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code == 0, argv
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    h = hashlib.sha256(out.getvalue().encode())
+    for arg in argv:
+        if arg.startswith("--out="):
+            h.update(Path(arg[len("--out="):]).read_bytes())
+    return h.hexdigest()
 
 
 def stack() -> dict:
@@ -104,14 +169,25 @@ def test_golden_table_covers_every_output():
     assert list(DIGESTS) == [" ".join(argv) for argv in golden_argvs()]
 
 
+@pytest.fixture(scope="module")
+def dense_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("dense")
+    write_dense_inputs(directory)
+    return directory
+
+
 @pytest.mark.parametrize("argv", golden_argvs(), ids=" ".join)
-def test_output_matches_its_golden_digest(argv):
+def test_output_matches_its_golden_digest(argv, dense_dir, monkeypatch):
     if stack() != STACK:
         pytest.skip(f"digests were made under {STACK}, this stack is {stack()}")
+    monkeypatch.chdir(dense_dir)
     assert digest(argv) == DIGESTS[" ".join(argv)]
 
 
 if __name__ == "__main__":
     print(stack())
-    for argv in golden_argvs():
-        print(f'    "{" ".join(argv)}":\n        "{digest(argv)}",')
+    with tempfile.TemporaryDirectory() as directory:
+        write_dense_inputs(Path(directory))
+        os.chdir(directory)
+        for argv in golden_argvs():
+            print(f'    "{" ".join(argv)}":\n        "{digest(argv)}",')
