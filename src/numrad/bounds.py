@@ -13,32 +13,52 @@ is bounded above. Certificates come in two shapes:
   equivalent to the disk certificate with center (phi + varphi)/2 and radius
   |phi - varphi|/2.
 
-verify_all checks each certificate's hypothesis once and reports every bound
-resting on it; the seven evaluators pick out the bounds they are named for.
-Each report holds the hypothesis status, both sides, and the slack rhs - lhs.
-A failed hypothesis is data, never an exception, so ensemble sweeps can
-aggregate failures without aborting. The verified bounds, by identifier:
+The bounds are one table, `ROWS`: each row gives an identifier, the
+certificate kind, the requirements that define it, any hypothesis it adds to
+the certificate check, and lhs and rhs as array expressions in w, the norm
+and the certificate. Each row is homogeneous of degree d in the matrix (and
+certificate) scale: both sides of 2^k T are 2^(d k) times those of T. The
+rows are evaluated on operands scaled by one power of two per matrix, 2^-e,
+and scaled back by 2^(d e), so no side over- or underflows at any desk
+scale. A violation is a passing hypothesis whose slack on the scaled
+operands is below -SLACK_TOL: the tolerance is relative.
 
-    T2_2   norm - w <= r^2 / (2 |lambda|)
-    E2_4   norm^2 + |lambda|^2 <= 2 w |lambda| + r^2
-    C2_7   norm - w <= |phi - varphi|^2 / (4 |phi + varphi|)
-    C2_13  norm^2 - w^2 <= r^2 - rho^2
-    R2_15  norm^2 - w^2 <= r^2            (when |lambda| = w)
-    T3_2   sqrt(1 - r^2/|lambda|^2) <= w / norm      (needs |lambda| > r)
-    R3_5   norm^2 - w^2 <= (r^2/|lambda|^2) norm^2
-    C3_6   2 sqrt(Re(phi conj(varphi))) / |phi + varphi| <= w / norm
-    C3_7   norm^2 - w^2 <= |(phi - varphi)/(phi + varphi)|^2 norm^2
-    T4_2   norm^2 - w^2 <= 2 r^2 w / (|lambda| + sqrt(|lambda|^2 - r^2))
-    C4_6   norm^2 - w^2 <= (|phi + varphi| - 2 sqrt(Re(phi conj(varphi)))) w
-    R4_9   norm / w <= (M + m) / (2 sqrt(mM))        (real segment 0 < m <= M)
-    R4_10  norm - w <= ((sqrt(M) - sqrt(m))^2 / (2 sqrt(mM))) w
-    R4_11  norm^2 - w^2 <= (sqrt(M) - sqrt(m))^2 w
-    R4_12  norm - w <= (M - m)^2 / (4 (M + m))
+`bound_table` evaluates a certificate's rows over a stack of matrices at
+once, as arrays; sweeps aggregate those arrays. verify_all formats the same
+rows as reports, and the seven evaluators pick out the reports they are
+named for. Each report holds the hypothesis status, both sides, and the
+slack rhs - lhs. A failed hypothesis is data, never an exception, so
+ensemble sweeps can aggregate failures without aborting. The rows, by
+identifier, with their degree d:
+
+    T2_2   1  norm - w <= r^2 / (2 |lambda|)
+    E2_4   2  norm^2 + |lambda|^2 <= 2 w |lambda| + r^2
+    C2_7   1  norm - w <= |phi - varphi|^2 / (4 |phi + varphi|)
+    C2_13  2  norm^2 - w^2 <= r^2 - rho^2
+    R2_15  2  norm^2 - w^2 <= r^2            (when |lambda| = w)
+    T3_2   0  sqrt(1 - r^2/|lambda|^2) <= w / norm      (needs |lambda| > r)
+    R3_5   2  norm^2 - w^2 <= (r^2/|lambda|^2) norm^2
+    C3_6   0  2 sqrt(Re(phi conj(varphi))) / |phi + varphi| <= w / norm
+    C3_7   2  norm^2 - w^2 <= |(phi - varphi)/(phi + varphi)|^2 norm^2
+    T4_2   2  norm^2 - w^2 <= 2 r^2 w / (|lambda| + sqrt(|lambda|^2 - r^2))
+    C4_6   2  norm^2 - w^2 <= (|phi + varphi| - 2 sqrt(Re(phi conj(varphi)))) w
+    R4_9   0  norm / w <= (M + m) / (2 sqrt(mM))        (real segment 0 < m <= M)
+    R4_10  1  norm - w <= ((sqrt(M) - sqrt(m))^2 / (2 sqrt(mM))) w
+    R4_11  2  norm^2 - w^2 <= (sqrt(M) - sqrt(m))^2 w
+    R4_12  1  norm - w <= (M - m)^2 / (4 (M + m))
+
+T3_2, R3_5, T4_2, C3_6, C3_7 and R4_9..R4_12 are undefined for the zero
+operator; C3_6, C3_7 and C4_6 need Re(phi conj(varphi)) > 0. T3_2, R3_5 and
+T4_2 add |lambda| > r to the hypothesis, and C2_13 adds a claimed
+rho <= | |lambda| - w |.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,6 +87,7 @@ __all__ = [
     "eval_disk_gap_weighted",
     "eval_sector_gap_weighted",
     "eval_segment_bounds",
+    "bound_table",
     "verify_all",
     "optimize_lambda",
 ]
@@ -74,15 +95,9 @@ __all__ = [
 ACCRETIVE = "accretive"
 OPERATOR_ORDER = "operator_order"
 
-# Report identifiers in canonical order (verify_all sorts by this).
-INEQUALITY_IDS = (
-    "T2_2", "E2_4", "C2_7", "C2_13", "R2_15", "T3_2", "R3_5",
-    "C3_6", "C3_7", "T4_2", "C4_6", "R4_9", "R4_10", "R4_11", "R4_12",
-)
-_ID_ORDER = {iid: k for k, iid in enumerate(INEQUALITY_IDS)}
-
 # Slack below -SLACK_TOL on a passing hypothesis marks a genuine violation
-# (the bounds are theorems; instances are O(1)-scaled).
+# (the bounds are theorems). It is relative: it is compared with the slack on
+# the pow2-scaled operands of the bound table (see `_violated`).
 SLACK_TOL = 1e-8
 # Relative to the certified radius r (check_disk).
 DISK_TOL = 1e-9
@@ -195,6 +210,9 @@ class InequalityReport:
     hypothesis_ok is False the bound asserts nothing and lhs/rhs are
     diagnostic only (partial terms are clamped where the raw formula would
     leave the reals). w and norm record the radius and operator norm used.
+    scaled_slack is the slack on the bound table's pow2-scaled operands,
+    slack 2^-(d e), which the violation test reads; a side beyond the double
+    range is inf, but its scaled slack is still finite.
     """
 
     inequality_id: str
@@ -206,22 +224,12 @@ class InequalityReport:
     w: float
     norm: float
     refinement_flag: bool | None = None
+    scaled_slack: float | None = None
 
-
-def _report(iid, ok, diag, lhs, rhs, w, norm, flag=None):
-    lhs = float(lhs)
-    rhs = float(rhs)
-    return InequalityReport(
-        inequality_id=iid,
-        hypothesis_ok=bool(ok),
-        diagnostic=diag if ok else diag + " [hypothesis failed]",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        w=w,
-        norm=norm,
-        refinement_flag=flag,
-    )
+    @property
+    def violated(self) -> bool:
+        """The violation test on scaled_slack, or on slack for a report made without it."""
+        return bool(_violated(self.hypothesis_ok, self.slack if self.scaled_slack is None else self.scaled_slack))
 
 
 def _verdicts(t, ok, measured):
@@ -286,139 +294,187 @@ def check_sector_hypothesis(a, s: SectorPair):
     return _verdicts(a, ok, np.ldexp(min_eig, 2 * e))
 
 
-def _disk_reports(cert: DiskCertificate, ok, measured, w, norm) -> dict:
-    """Every disk bound of one certificate on one matrix, given its check_disk result.
+# One bound of the table: lhs <= rhs, both functions of the scaled operands v
+# (see `_scaled`) and homogeneous of degree d in the matrix. needs names the
+# requirements that define a report, hyp the hypothesis added to the
+# certificate check, flag whether the report carries the refinement flag.
+_Row = namedtuple("_Row", "iid kind d lhs rhs needs hyp flag", defaults=((), None, False))
 
-    Maps each identifier to its report, or to the exception its evaluator
-    raises when the bound is undefined for this matrix and certificate.
-    An explicit rho joins the hypothesis of C2_13 as | |lambda| - w | >= rho.
-    Without one, rho is the measured | |lambda| - w |; below
-    CENTER_COINCIDENCE_TOL |lambda| the report is the special case R2_15,
-    rhs = r^2.
+
+def _gap(v):
+    return v.n - v.w
+
+
+def _sq_gap(v):
+    return v.n * v.n - v.w * v.w
+
+
+def _root_gap(v):
+    return (np.sqrt(v.M) - np.sqrt(v.m)) ** 2
+
+
+_D, _S, _SEC, _SEG = DiskCertificate, SectorPair, ("sector", "nonzero"), ("segment", "nonzero")
+# The bounds, in canonical report order.
+ROWS = (
+    _Row("T2_2", _D, 1, _gap, lambda v: 0.5 * v.r * v.r / v.a),
+    _Row("E2_4", _D, 2, lambda v: v.n * v.n + v.a * v.a, lambda v: 2.0 * v.w * v.a + v.r * v.r),
+    _Row("C2_7", _S, 1, _gap, lambda v: np.where(v.sp > 0, 0.25 * v.sd * v.sd / v.sp, np.inf)),
+    _Row("C2_13", _D, 2, _sq_gap, lambda v: v.r * v.r - v.rho * v.rho, ("apart",), "rho_ok"),
+    _Row("R2_15", _D, 2, _sq_gap, lambda v: v.r * v.r, ("coincide",)),
+    _Row("T3_2", _D, 0, lambda v: np.sqrt(np.maximum(1.0 - (v.r / v.a) ** 2, 0.0)),
+         lambda v: v.w / v.n, ("nonzero",), "center", True),
+    _Row("R3_5", _D, 2, _sq_gap, lambda v: (v.r / v.a) ** 2 * (v.n * v.n), ("nonzero",), "center", True),
+    _Row("C3_6", _S, 0, lambda v: 2.0 * np.sqrt(v.rp) / v.sp, lambda v: v.w / v.n, _SEC, None, True),
+    _Row("C3_7", _S, 2, _sq_gap, lambda v: (v.sd / v.sp) ** 2 * (v.n * v.n), _SEC, None, True),
+    _Row("T4_2", _D, 2, _sq_gap, lambda v: 2.0 * v.r * v.r * v.w / (v.a + v.root), ("nonzero",), "center"),
+    _Row("C4_6", _S, 2, _sq_gap, lambda v: (v.sp - 2.0 * np.sqrt(v.rp)) * v.w, ("sector",)),
+    _Row("R4_9", _S, 0, lambda v: v.n / v.w, lambda v: (v.M + v.m) / (2.0 * np.sqrt(v.m * v.M)), _SEG),
+    _Row("R4_10", _S, 1, _gap, lambda v: _root_gap(v) / (2.0 * np.sqrt(v.m * v.M)) * v.w, _SEG),
+    _Row("R4_11", _S, 2, _sq_gap, lambda v: _root_gap(v) * v.w, _SEG),
+    _Row("R4_12", _S, 1, _gap, lambda v: 0.25 * (v.M - v.m) ** 2 / (v.M + v.m), _SEG),
+)
+_ID_ORDER = {row.iid: k for k, row in enumerate(ROWS)}
+# What an eval_* pick raises for a report that a requirement leaves undefined.
+_UNDEFINED = {"segment": InvalidInterval, "sector": InvalidSector, "nonzero": ZeroOperator}
+
+# One row of the table over a stack of B matrices, as (B,) arrays: defined
+# marks the matrices that have the report, ok its hypothesis (the certificate
+# check and hyp, the row's addition to it). lhs, rhs and slack are scaled back
+# to the matrix; scaled_slack is the slack on the scaled operands, which the
+# violation test reads. needs maps each requirement to its mask; flag is the
+# refinement flag or None.
+Bound = namedtuple("Bound", "iid defined ok hyp lhs rhs slack scaled_slack violated needs flag")
+
+
+def _violated(ok, scaled_slack):
+    """The violation test, of table rows and reports alike: a passing
+    hypothesis whose slack 2^-(d e) on the scaled operands is below -SLACK_TOL."""
+    return ok & (scaled_slack < -SLACK_TOL)
+
+
+def _scaled(cert, w, norm) -> SimpleNamespace:
+    """The operands of cert's rows, times 2^-e with one even e per matrix (v.e).
+
+    2^-e brings the larger of the norm and the certificate's size into
+    [1/4, 1), so no row over- or underflows while the two are within about
+    2^500 of each other, whatever their scale. Each operation scales exactly
+    (for square roots, because e is even): a row's scaled sides are 2^-(d e)
+    times what its formulas give on the unscaled operands. The masks that
+    rows name as requirements or hypotheses are attributes of v too.
     """
-    diag = f"||T - lambda I|| = {measured:.12g} {'<=' if ok else '>'} r = {cert.r:.12g}"
-    alam, r = abs(cert.lam), cert.r
-    gap = abs(alam - w)
-    gap_ok = ok
-    if cert.rho is None:
-        if gap <= CENTER_COINCIDENCE_TOL * alam:
-            iid, rho = "R2_15", 0.0
-            extra = f"|lambda| = w to {CENTER_COINCIDENCE_TOL:g} |lambda|"
-        else:
-            iid, rho = "C2_13", gap
-            extra = f"auto rho = | |lambda| - w | = {gap:.12g}"
-    else:
-        iid, rho = "C2_13", cert.rho
-        if rho > gap + RHO_TOL * alam:
-            gap_ok = False
-            extra = f"claimed rho = {rho:.12g} exceeds | |lambda| - w | = {gap:.12g}"
-        else:
-            extra = f"rho = {rho:.12g} <= | |lambda| - w | = {gap:.12g}"
-    reports = {
-        "T2_2": _report("T2_2", ok, diag, norm - w, 0.5 * r**2 / alam, w, norm),
-        "E2_4": _report("E2_4", ok, diag, norm**2 + alam**2, 2.0 * w * alam + r**2, w, norm),
-        iid: _report(iid, gap_ok, f"{diag}; {extra}", norm**2 - w**2, r**2 - rho**2, w, norm),
-    }
-    if norm == 0:
-        zero = ZeroOperator("ratio bounds are undefined for the zero operator")
-        weighted = ZeroOperator("the weighted gap bound is undefined for the zero operator")
-        return reports | {"T3_2": zero, "R3_5": zero, "T4_2": weighted}
-    # The ratio and weighted bounds also need |lambda| > r.
-    if alam <= r:
-        ok = False
-        diag += f"; needs |lambda| > r, got |lambda| = {alam:.12g}, r = {r:.12g}"
-    flag = bool(r / alam <= REFINEMENT_RATIO)
-    ratio_sq = 1.0 - (r / alam) ** 2
-    lhs_root = float(np.sqrt(ratio_sq)) if ratio_sq > 0 else 0.0
-    root = float(np.sqrt(max(alam**2 - r**2, 0.0)))
-    return reports | {
-        "T3_2": _report("T3_2", ok, diag, lhs_root, w / norm, w, norm, flag),
-        "R3_5": _report("R3_5", ok, diag, norm**2 - w**2, (r / alam) ** 2 * norm**2, w, norm, flag),
-        "T4_2": _report("T4_2", ok, diag, norm**2 - w**2, 2.0 * r**2 * w / (alam + root), w, norm),
-    }
+    disk = isinstance(cert, DiskCertificate)
+    size = max(abs(cert.lam), cert.r) if disk else max(abs(cert.phi), abs(cert.varphi))
+    e = np.frexp(np.maximum(norm, size))[1]
+    e += e & 1
+
+    def s(x):
+        return np.ldexp(x, -e)
+
+    v = SimpleNamespace(e=e, w=s(w), n=s(norm), none=np.ones(e.shape, bool))
+    v.nonzero = v.n != 0
+    if disk:
+        v.a, v.r = s(abs(cert.lam)), s(cert.r)
+        gap = np.abs(v.a - v.w)
+        v.coincide = (cert.rho is None) & (gap <= CENTER_COINCIDENCE_TOL * v.a)
+        v.apart, v.center = ~v.coincide, v.a > v.r
+        v.root = np.sqrt(np.maximum(v.a * v.a - v.r * v.r, 0.0))
+        v.rho = gap if cert.rho is None else s(cert.rho)
+        v.rho_ok = v.rho <= gap + RHO_TOL * v.a
+        v.flag = bool(cert.r / abs(cert.lam) <= REFINEMENT_RATIO)
+        return v
+    p, q = cert.phi, cert.varphi
+    v.sp, v.sd = s(abs(p + q)), s(abs(p - q))
+    v.rp = s(p.real) * s(q.real) + s(p.imag) * s(q.imag)
+    v.sector = v.rp > 0
+    m, M = cert.segment() or (np.nan, np.nan)
+    v.segment = v.none & (0 < m <= M)
+    v.m, v.M = s(m), s(M)
+    v.flag = bool(abs(p - q) <= REFINEMENT_RATIO * abs(p + q))
+    return v
 
 
-def _sector_reports(s: SectorPair, ok, min_eig, w, norm) -> dict:
-    """Every sector bound of one pair on one matrix, given its check_sector_hypothesis result.
-
-    A degenerate pair fails its hypothesis and has no check (ok and min_eig
-    are ignored). The result maps identifiers as `_disk_reports` does.
-    """
-    if s.is_degenerate():
-        ok, diag = False, "degenerate sector pair (phi equals varphi or -varphi)"
-    else:
-        mode = "operator order" if s.mode == OPERATOR_ORDER else "accretivity"
-        diag = f"sector {mode} check: min eig = {min_eig:.6g}"
-    ssum, sdiff = abs(s.phi + s.varphi), abs(s.phi - s.varphi)
-    rhs = 0.25 * sdiff**2 / ssum if ssum > 0 else float("inf")
-    reports = {"C2_7": _report("C2_7", ok, diag, norm - w, rhs, w, norm)}
-    re_prod = float((s.phi * np.conj(s.varphi)).real)
-    if re_prod <= 0:
-        invalid = InvalidSector(f"needs Re(phi * conj(varphi)) > 0, got {re_prod:.12g}")
-        reports.update(dict.fromkeys(("C3_6", "C3_7", "C4_6"), invalid))
-    else:
-        rhs = (ssum - 2.0 * np.sqrt(re_prod)) * w
-        reports["C4_6"] = _report("C4_6", ok, diag, norm**2 - w**2, rhs, w, norm)
-        if norm == 0:
-            zero = ZeroOperator("ratio bounds are undefined for the zero operator")
-            reports.update(C3_6=zero, C3_7=zero)
-        else:
-            flag = bool(sdiff <= REFINEMENT_RATIO * ssum)
-            lhs_root = 2.0 * np.sqrt(re_prod) / ssum
-            reports["C3_6"] = _report("C3_6", ok, diag, lhs_root, w / norm, w, norm, flag)
-            rhs = (sdiff / ssum) ** 2 * norm**2
-            reports["C3_7"] = _report("C3_7", ok, diag, norm**2 - w**2, rhs, w, norm, flag)
-    m, M = s.segment() or (None, None)
-    if m is None:
-        undefined = InvalidInterval("segment bounds need real endpoints")
-    elif not (0 < m <= M):
-        undefined = InvalidInterval(f"needs M >= m > 0, got m = {m:.12g}, M = {M:.12g}")
-    elif norm == 0:
-        undefined = ZeroOperator("segment bounds are undefined for the zero operator")
-    else:
-        root_mm = float(np.sqrt(m * M))
-        droot = (np.sqrt(M) - np.sqrt(m)) ** 2
-        return reports | {
-            "R4_9": _report("R4_9", ok, diag, norm / w, (M + m) / (2.0 * root_mm), w, norm),
-            "R4_10": _report("R4_10", ok, diag, norm - w, droot / (2.0 * root_mm) * w, w, norm),
-            "R4_11": _report("R4_11", ok, diag, norm**2 - w**2, droot * w, w, norm),
-            "R4_12": _report("R4_12", ok, diag, norm - w, 0.25 * (M - m) ** 2 / (M + m), w, norm),
-        }
-    return reports | dict.fromkeys(("R4_9", "R4_10", "R4_11", "R4_12"), undefined)
-
-
-def _reports(t, cert, w, norm) -> list[dict]:
-    """The report map of one certificate for each matrix of the stack t, shape (B, n, n).
-
-    The hypothesis is checked once for the whole stack; w and norm hold the
-    radius and the norm of each matrix.
-    """
+def _evaluate(t, cert, w, norm):
+    """(check, bounds): cert's check on the stack t (B, n, n) as (ok, value)
+    arrays, and its rows of the table; w and norm are the stack's radii and norms."""
     if isinstance(cert, DiskCertificate):
-        build, checks = _disk_reports, zip(*check_disk(t, cert))
-    elif isinstance(cert, SectorPair):
-        build = _sector_reports
-        checks = ([(False, np.nan)] * len(t) if cert.is_degenerate()
-                  else zip(*check_sector_hypothesis(t, cert)))
-    else:
+        check = check_disk(t, cert)
+    elif not isinstance(cert, SectorPair):
         raise TypeError(f"unsupported certificate type {type(cert).__name__}")
-    return [build(cert, bool(ok), float(x), float(wi), float(ni))
-            for (ok, x), wi, ni in zip(checks, w, norm)]
+    elif cert.is_degenerate():
+        check = np.zeros(len(t), bool), np.full(len(t), np.nan)
+    else:
+        check = check_sector_hypothesis(t, cert)
+    v = _scaled(cert, w, norm)
+    bounds = []
+    with np.errstate(all="ignore"):  # rows that a requirement leaves undefined may divide by 0
+        for row in ROWS:
+            if row.kind is type(cert):
+                needs = {name: getattr(v, name) for name in row.needs}
+                hyp = getattr(v, row.hyp or "none")
+                ok, lhs, rhs, k = check[0] & hyp, row.lhs(v), row.rhs(v), row.d * v.e
+                scaled = rhs - lhs
+                bounds.append(Bound(
+                    row.iid, functools.reduce(np.logical_and, needs.values(), v.none), ok, hyp, np.ldexp(lhs, k),
+                    np.ldexp(rhs, k), np.ldexp(scaled, k), scaled, _violated(ok, scaled), needs,
+                    v.flag if row.flag else None))
+    return check, bounds
 
 
-def _one(t, cert, w, norm) -> dict:
-    """The report map of one certificate on one matrix; w and norm are measured unless given."""
+def bound_table(t, cert) -> list:
+    """The rows of cert's kind over the stack t (B, n, n), as `Bound`s in canonical order.
+
+    One `numerical_radius`, one norm and one hypothesis check for the stack,
+    then every row as array expressions over all of it. This is the sweep's
+    path: it makes no report objects. Entry i of a row is what `verify_all`
+    reports for matrix i alone.
+    """
+    t = _as_stack(t).reshape(-1, *np.shape(t)[-2:])
+    return _evaluate(t, cert, numerical_radius(t), _spectral_norms(t))[1]
+
+
+def _reports(cert, check, bounds, i, w, norm) -> list:
+    """The reports of matrix i of a table: its defined rows, with their diagnostics."""
+    ok, value, w, norm = bool(check[0][i]), float(check[1][i]), float(w), float(norm)
+    if isinstance(cert, DiskCertificate):
+        alam, gap = abs(cert.lam), abs(abs(cert.lam) - w)
+        base = f"||T - lambda I|| = {value:.12g} {'<=' if ok else '>'} r = {cert.r:.12g}"
+    elif cert.is_degenerate():
+        base = "degenerate sector pair (phi equals varphi or -varphi)"
+    else:
+        mode = "operator order" if cert.mode == OPERATOR_ORDER else "accretivity"
+        base = f"sector {mode} check: min eig = {value:.6g}"
+    reports = []
+    for b in (b for b in bounds if b.defined[i]):
+        diag = base
+        if b.iid == "R2_15":
+            diag += f"; |lambda| = w to {CENTER_COINCIDENCE_TOL:g} |lambda|"
+        elif b.iid == "C2_13" and cert.rho is None:
+            diag += f"; auto rho = | |lambda| - w | = {gap:.12g}"
+        elif b.iid == "C2_13":
+            holds = f"rho = {cert.rho:.12g} <=" if b.hyp[i] else f"claimed rho = {cert.rho:.12g} exceeds"
+            diag += f"; {holds} | |lambda| - w | = {gap:.12g}"
+        elif not b.hyp[i]:
+            diag += f"; needs |lambda| > r, got |lambda| = {alam:.12g}, r = {cert.r:.12g}"
+        reports.append(InequalityReport(
+            b.iid, bool(b.ok[i]), diag if b.ok[i] else diag + " [hypothesis failed]", float(b.lhs[i]),
+            float(b.rhs[i]), float(b.slack[i]), w, norm, b.flag, float(b.scaled_slack[i])))
+    return reports
+
+
+def _pick(t, cert, w, norm, *ids):
+    """The reports under ids of cert on one matrix, one bare or several as a tuple.
+
+    w and norm are measured unless given. A report that a requirement leaves
+    undefined raises that requirement's exception.
+    """
     t = as_matrix(t)
-    w = numerical_radius(t) if w is None else w
-    norm = operator_norm(t) if norm is None else norm
-    return _reports(t[None], cert, [w], [norm])[0]
-
-
-def _pick(reports: dict, *ids):
-    """The reports present under ids, one bare or several as a tuple; raises a stored exception."""
-    found = [reports[iid] for iid in ids if iid in reports]
-    for rep in found:
-        if isinstance(rep, Exception):
-            raise rep
+    w = np.array([numerical_radius(t) if w is None else w], dtype=float)
+    norm = np.array([operator_norm(t) if norm is None else norm], dtype=float)
+    check, bounds = _evaluate(t[None], cert, w, norm)
+    for b in (b for b in bounds if b.iid in ids):
+        for exc in (_UNDEFINED[name] for name, mask in b.needs.items() if not mask[0]):
+            raise exc(f"{b.iid}: {exc.__doc__}")
+    found = [rep for rep in _reports(cert, check, bounds, 0, w[0], norm[0]) if rep.inequality_id in ids]
     return found[0] if len(found) == 1 else tuple(found)
 
 
@@ -428,12 +484,12 @@ def eval_disk_bound(t, cert: DiskCertificate, *, w=None, norm=None):
     Pass precomputed w/norm to skip their recomputation; otherwise both are
     measured here.
     """
-    return _pick(_one(t, cert, w, norm), "T2_2", "E2_4")
+    return _pick(t, cert, w, norm, "T2_2", "E2_4")
 
 
 def eval_sector_gap(a, s: SectorPair, *, w=None, norm=None):
     """Report C2_7: the norm-radius gap bound under the sector hypothesis."""
-    return _pick(_one(a, s, w, norm), "C2_7")
+    return _pick(a, s, w, norm, "C2_7")
 
 
 def eval_radius_ratio(t, cert: DiskCertificate, *, w=None, norm=None):
@@ -444,7 +500,7 @@ def eval_radius_ratio(t, cert: DiskCertificate, *, w=None, norm=None):
     leave the reals. The refinement flag records r/|lambda| <= sqrt(3)/2, the
     regime where T3_2 sharpens the universal w >= norm/2.
     """
-    return _pick(_one(t, cert, w, norm), "T3_2", "R3_5")
+    return _pick(t, cert, w, norm, "T3_2", "R3_5")
 
 
 def eval_sector_ratio(a, s: SectorPair, *, w=None, norm=None):
@@ -454,7 +510,7 @@ def eval_sector_ratio(a, s: SectorPair, *, w=None, norm=None):
     |center| > radius for the equivalent disk. The refinement flag records
     |phi - varphi| <= sqrt(3)/2 * |phi + varphi|.
     """
-    return _pick(_one(a, s, w, norm), "C3_6", "C3_7")
+    return _pick(a, s, w, norm, "C3_6", "C3_7")
 
 
 def eval_disk_gap_weighted(t, cert: DiskCertificate, *, w=None, norm=None):
@@ -463,12 +519,12 @@ def eval_disk_gap_weighted(t, cert: DiskCertificate, *, w=None, norm=None):
     Requires |lambda| > r; on hypothesis failure the square root in the
     denominator is clamped to 0 for the diagnostic value.
     """
-    return _pick(_one(t, cert, w, norm), "T4_2")
+    return _pick(t, cert, w, norm, "T4_2")
 
 
 def eval_sector_gap_weighted(a, s: SectorPair, *, w=None, norm=None):
     """Report C4_6: squared-gap bound weighted by w, for a sector pair."""
-    return _pick(_one(a, s, w, norm), "C4_6")
+    return _pick(a, s, w, norm, "C4_6")
 
 
 def eval_segment_bounds(a, s: SectorPair, *, w=None, norm=None):
@@ -477,7 +533,7 @@ def eval_segment_bounds(a, s: SectorPair, *, w=None, norm=None):
     The hypothesis is the sector check for (varphi, phi) = (m, M); R4_9 is a
     ratio bound (lhs = norm/w), the others bound differences.
     """
-    return _pick(_one(a, s, w, norm), "R4_9", "R4_10", "R4_11", "R4_12")
+    return _pick(a, s, w, norm, "R4_9", "R4_10", "R4_11", "R4_12")
 
 
 def verify_all(t, certs) -> list:
@@ -487,21 +543,21 @@ def verify_all(t, certs) -> list:
     which gives one report list per matrix, in order; each list equals the
     one its matrix gets alone. The radii and norms of the stack are computed
     once, with one `numerical_radius` and one norm call, and each
-    certificate's hypothesis is checked once for the whole stack.
-    Hypothesis failures are recorded in the reports; bounds that are
-    structurally inapplicable to a certificate (zero operator, nonpositive
-    Re(phi * conj(varphi)), missing real segment) are skipped rather than
-    raised. Reports come back sorted by the canonical identifier order,
-    stably over certificates.
+    certificate's table (see `bound_table`) is evaluated once for the whole
+    stack; this function only formats its rows as reports. Hypothesis
+    failures are recorded in the reports; bounds that are structurally
+    inapplicable to a certificate (zero operator, nonpositive Re(phi *
+    conj(varphi)), missing real segment) are skipped rather than raised.
+    Reports come back sorted by the canonical identifier order, stably over
+    certificates.
     """
     t = _as_stack(t)
     stack = t.reshape(-1, *t.shape[-2:])
     w, norm = numerical_radius(stack), _spectral_norms(stack)
-    maps = [_reports(stack, cert, w, norm) for cert in certs]
+    tables = [(cert, *_evaluate(stack, cert, w, norm)) for cert in certs]
     lists = [
         sorted(
-            (rep for per_cert in maps for rep in per_cert[i].values()
-             if isinstance(rep, InequalityReport)),
+            (rep for cert, check, bounds in tables for rep in _reports(cert, check, bounds, i, w[i], norm[i])),
             key=lambda rep: _ID_ORDER[rep.inequality_id],
         )
         for i in range(len(stack))

@@ -3,8 +3,9 @@
 Subcommands: compute (radius, norm, boundary CSV), verify (slack reports as
 JSON lines), sweep (random ensembles with aggregate slack statistics), search
 (extremal probes), plot (boundary SVG). Exit codes: 0 on success, 1 when a
-passing hypothesis produced a negative slack beyond tolerance, 2 on malformed
-input.
+passing hypothesis produced a negative slack beyond the relative tolerance
+(see `bounds.SLACK_TOL`), 2 on malformed input, and 2 from verify when a side
+of a passing bound exceeds the double range (the reports are printed first).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 from .bounds import (
     ACCRETIVE,
     OPERATOR_ORDER,
-    SLACK_TOL,
     DiskCertificate,
     SectorPair,
+    bound_table,
     optimize_lambda,
     verify_all,
 )
@@ -45,7 +46,7 @@ from .numrange import BOUNDARY_GRID, range_summary
 
 ENSEMBLES = ("disk", "segment", "ginibre", "nilpotent")
 # Sweep trials drawn and verified together: one draw call and one
-# verify_all call per chunk.
+# bound_table call per chunk.
 _CHUNK = 64
 
 
@@ -122,48 +123,41 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     """Run the ensemble and aggregate per-identifier slack statistics.
 
     Trial i is drawn from its own seed. The trials are drawn and verified in
-    chunks of _CHUNK, with one _draw and one verify_all call per chunk; every
-    drawn matrix equals its one-trial generator's, and every report the one
+    chunks of _CHUNK, with one _draw and one bound_table call per chunk, and
+    the table's row arrays are aggregated as they are. Every drawn matrix
+    equals its one-trial generator's, and every row entry the report that
     verify_all gives its trial alone.
     """
     trial_seeds = np.random.default_rng(cfg.seed).integers(
         0, 2**63, size=cfg.trials, dtype=np.uint64
     )
     cert = _certificate(cfg)
-    stats: dict[str, dict] = {}
-    violations = 0
-    for start in range(0, cfg.trials, _CHUNK):
-        stack = _draw(cfg, trial_seeds[start:start + _CHUNK].tolist())
-        for reports in verify_all(stack, [cert]):
-            for rep in reports:
-                rec = stats.setdefault(
-                    rep.inequality_id,
-                    {"evaluated": 0, "hypothesis_failures": 0, "slacks": []},
-                )
-                rec["evaluated"] += 1
-                if rep.hypothesis_ok:
-                    rec["slacks"].append(rep.slack)
-                    if rep.slack < -SLACK_TOL:
-                        violations += 1
-                else:
-                    rec["hypothesis_failures"] += 1
+    chunks = [bound_table(_draw(cfg, trial_seeds[i:i + _CHUNK].tolist()), cert)
+              for i in range(0, cfg.trials, _CHUNK)]
+    rows, violations = [], 0
+    for parts in zip(*chunks):
+        defined, ok, slack, violated = (
+            np.concatenate(column) for column in zip(*((b.defined, b.ok, b.slack, b.violated) for b in parts))
+        )
+        if defined.any():
+            rows.append((int(np.argmax(defined)), parts[0].iid, defined, ok, slack[defined & ok]))
+            violations += int(np.count_nonzero(defined & violated))
     table = {}
-    for iid, rec in stats.items():
-        slacks = rec["slacks"]
+    # By the first trial that has the identifier; the stable sort keeps the
+    # canonical order among identifiers that first appear in the same trial.
+    for _, iid, defined, ok, slacks in sorted(rows, key=lambda row: row[0]):
         table[iid] = {
-            "evaluated": rec["evaluated"],
-            "hypothesis_failures": rec["hypothesis_failures"],
-            "min_slack": float(np.min(slacks)) if slacks else None,
-            "median_slack": float(np.median(slacks)) if slacks else None,
+            "evaluated": int(np.count_nonzero(defined)),
+            "hypothesis_failures": int(np.count_nonzero(defined & ~ok)),
+            "min_slack": float(np.min(slacks)) if slacks.size else None,
+            "median_slack": float(np.median(slacks)) if slacks.size else None,
         }
+    p = cfg.params
     params: dict = {}
-    if cfg.params.get("lam") is not None:
-        lam = complex(cfg.params["lam"])
-        params["lambda"] = [lam.real, lam.imag]
-        params["r"] = float(cfg.params["r"])
-    if cfg.params.get("m") is not None:
-        params["m"] = float(cfg.params["m"])
-        params["M"] = float(cfg.params["M"])
+    if p.get("lam") is not None:
+        params.update({"lambda": [complex(p["lam"]).real, complex(p["lam"]).imag], "r": float(p["r"])})
+    if p.get("m") is not None:
+        params.update(m=float(p["m"]), M=float(p["M"]))
     aggregate = {
         "ensemble": cfg.ensemble,
         "n": cfg.n,
@@ -211,8 +205,11 @@ def cmd_verify(args) -> int:
         raise ValueError("nothing to verify: pass --auto, --lambda/--r, or --phi/--varphi")
     reports = verify_all(a, certs)
     sys.stdout.write(reports_to_jsonl(reports))
-    bad = any(rep.hypothesis_ok and rep.slack < -SLACK_TOL for rep in reports)
-    return 1 if bad else 0
+    if any(rep.violated for rep in reports):
+        return 1
+    if not all(np.isfinite([rep.lhs, rep.rhs]).all() for rep in reports if rep.hypothesis_ok):
+        raise OverflowError("a side of a passing bound exceeds the double range")
+    return 0
 
 
 def cmd_sweep(args) -> int:

@@ -24,6 +24,8 @@ from numrad.bounds import (
     eval_sector_ratio,
     eval_segment_bounds,
     optimize_lambda,
+    ROWS,
+    bound_table,
     sector_to_disk,
     verify_all,
 )
@@ -36,6 +38,8 @@ from numrad.extremal import (
 )
 from numrad.linalg import as_matrix, operator_norm, pow2_scaled, shifted_norms
 from numrad.numrange import SEED_GRID, numerical_radius
+
+ROW_IDS = [row.iid for row in ROWS]
 
 
 def svd2_max(m):
@@ -554,16 +558,18 @@ def mixed_stack(n, k):
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_stacked_verify_all_equals_one_matrix_at_a_time(n):
-    # 2^-600 neighbours only: at 2^600 the report formulas overflow (norm^2),
-    # alone as in a stack.
-    stack = mixed_stack(n, -600)
-    lists = verify_all(stack, STACK_CERTS)
-    assert len(lists) == len(stack)
-    for t, reps in zip(stack, lists):
-        assert reps == verify_all(t, STACK_CERTS)
-        assert all(type(rep.w) is float and type(rep.norm) is float for rep in reps)
-    assert verify_all(stack[:1], STACK_CERTS) == lists[:1]
-    assert verify_all(stack, []) == [[]] * len(stack)
+    for k in (-600, 600):
+        # At 2^600 the degree-2 sides (norm^2 and the like) are inf, alone as
+        # in a stack, and a sector check's minimum eigenvalue (about 2^1200) too.
+        stack = mixed_stack(n, k)
+        with np.errstate(over="ignore"):
+            lists = verify_all(stack, STACK_CERTS)
+            assert len(lists) == len(stack)
+            for t, reps in zip(stack, lists):
+                assert reps == verify_all(t, STACK_CERTS)
+                assert all(type(rep.w) is float and type(rep.norm) is float for rep in reps)
+            assert verify_all(stack[:1], STACK_CERTS) == lists[:1]
+        assert verify_all(stack, []) == [[]] * len(stack)
 
 
 @pytest.mark.parametrize("k", [600, -600])
@@ -580,6 +586,63 @@ def test_stacked_checks_equal_one_matrix_at_a_time(k):
         assert all(type(o) is bool and type(v) is float for o, v in alone)
         assert list(zip(ok.tolist(), value.tolist())) == alone
         assert not ok.all()
+
+
+def test_stacked_table_rows_are_the_reports_of_each_matrix():
+    stack = mixed_stack(4, -600)
+    for cert in STACK_CERTS:
+        rows = bound_table(stack, cert)
+        assert [b.iid for b in rows] == sorted((b.iid for b in rows), key=ROW_IDS.index)
+        for i, t in enumerate(stack):
+            reps = verify_all(t, [cert])
+            assert [(b.iid, bool(b.ok[i]), float(b.lhs[i]), float(b.rhs[i]), float(b.slack[i]))
+                    for b in rows if b.defined[i]] == [
+                (rep.inequality_id, rep.hypothesis_ok, rep.lhs, rep.rhs, rep.slack) for rep in reps
+            ]
+            assert not any(b.violated[i] for b in rows if b.defined[i])
+
+
+# --------------------------------------------- extreme scales (pow2-scaled table)
+
+
+def test_segment_bounds_at_small_scale():
+    # Unscaled, sqrt(m * M) underflowed to 0 at 2^-540 and R4_9 divided by it.
+    a, _ = gen_segment_instance(1.0, 4.0, 4, 3)
+    unit = verify_all(a, [SectorPair.from_segment(1.0, 4.0)])
+    s = 2.0**-540
+    reps = verify_all(s * a, [SectorPair.from_segment(s, 4 * s)])
+    assert [rep.inequality_id for rep in reps] == [rep.inequality_id for rep in unit]
+    assert len(reps) == 8 and all(rep.hypothesis_ok and not rep.violated for rep in reps)
+    by_id = {rep.inequality_id: rep for rep in reps}
+    for rep in unit:
+        if rep.inequality_id == "R4_9":  # degree 0
+            assert by_id["R4_9"].rhs == rep.rhs == 1.25
+
+
+@pytest.mark.parametrize("k", [-540, -300, 0, 300, 540])
+def test_sector_identifiers_do_not_depend_on_scale(k):
+    # Unscaled, Re(phi conj(varphi)) underflowed to 0 at 2^-540, which dropped
+    # C3_6, C3_7 and C4_6 as an invalid sector without a word.
+    a, _ = gen_segment_instance(1.0, 4.0, 4, 3)
+    s = 2.0**k
+    with np.errstate(over="ignore"):  # the check's minimum eigenvalue at 2^540 is inf
+        reps = verify_all(s * a, [SectorPair((4 + 0.001j) * s, s)])
+    assert [rep.inequality_id for rep in reps] == ["C2_7", "C3_6", "C3_7", "C4_6"]
+
+
+def test_reports_survive_norms_near_the_top_of_the_double_range():
+    # Unscaled, r**2 raised OverflowError at ||A|| of about 1e154 and every
+    # report was lost; now each side that exceeds the double range is inf.
+    t, _ = gen_disk_instance(2.5, 2.0, 4, 0)
+    unit = verify_all(t, [DiskCertificate(2.5, 2.0)])
+    reps = verify_all(1e154 * t, [DiskCertificate(2.5e154, 2e154)])
+    assert [(rep.inequality_id, rep.hypothesis_ok) for rep in reps] == [
+        (rep.inequality_id, rep.hypothesis_ok) for rep in unit
+    ]
+    by_id = {rep.inequality_id: rep for rep in reps}
+    assert by_id["E2_4"].rhs == np.inf and by_id["T2_2"].rhs == pytest.approx(8e153, rel=1e-15)
+    assert by_id["T3_2"].lhs == pytest.approx(0.6, rel=1e-15)
+    assert not any(rep.violated for rep in reps)
 
 
 # ------------------------------------------------------ consistency checks

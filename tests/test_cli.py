@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import numrad.cli as cli
+from numrad import bounds
 from numrad.bounds import (
     ACCRETIVE,
     OPERATOR_ORDER,
@@ -134,15 +135,31 @@ def test_verify_auto_certificate_passes_its_own_check_at_extreme_scales(tmp_path
 
 
 def test_verify_beyond_the_report_range_exits_two(tmp_path, capsys):
-    # r**2 overflows in the report formulas above ||A|| of about 1.3e154;
-    # that is malformed input for them, not a bound violation (exit 1)
+    # Above ||A|| of about 1.3e154 the degree-2 sides (norm^2, r^2) exceed the
+    # double range. verify prints every report, with those sides inf, and
+    # exits 2: that is input beyond what the reports can hold, not a bound
+    # violation (exit 1).
     a, _ = gen_disk_instance(1.5 + 0.5j, 0.3, 4, 0)
     path = tmp_path / "a.json"
     save_matrix(path, 1e155 * a)
     assert run_cli("verify", path, "--auto") == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ")
     assert "beyond the range the report formulas support" in err
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 6 and all(rep["hypothesis_ok"] for rep in reports)
+
+
+def test_verify_segment_pair_at_small_scale_exits_zero(tmp_path, capsys):
+    # Unscaled, R4_9 divided by an underflowed sqrt(m M) = 0 and the command
+    # crashed with exit 1, the code of a bound violation.
+    a, _ = gen_segment_instance(1.0, 4.0, 4, 3)
+    path = tmp_path / "a.json"
+    save_matrix(path, 2.0**-540 * a)
+    m, M = repr(2.0**-540), repr(2.0**-538)
+    assert run_cli("verify", path, "--phi", M, "--varphi", m, "--order") == 0
+    ids = [json.loads(line)["inequality_id"] for line in capsys.readouterr().out.splitlines()]
+    assert ids == ["C2_7", "C3_6", "C3_7", "C4_6", "R4_9", "R4_10", "R4_11", "R4_12"]
 
 
 def test_verify_negative_slack_exits_one(s2_file, monkeypatch, capsys):
@@ -269,16 +286,40 @@ def test_sweep_requires_ensemble_params(capsys):
     capsys.readouterr()
 
 
+def forge_slack(monkeypatch, iid, scaled_slack):
+    """Make row iid of the bound table hold with this slack on the scaled operands."""
+    rows = tuple(row._replace(rhs=lambda v, lhs=row.lhs: lhs(v) + scaled_slack) if row.iid == iid else row
+                 for row in bounds.ROWS)
+    monkeypatch.setattr(bounds, "ROWS", rows)
+
+
 def test_sweep_exit_one_on_violation(monkeypatch, capsys):
-    bogus = InequalityReport(
-        inequality_id="T2_2", hypothesis_ok=True, diagnostic="forged", lhs=1.0,
-        rhs=0.0, slack=-1.0, w=0.5, norm=1.0,
-    )
-    monkeypatch.setattr(cli, "verify_all", lambda t, certs: [[bogus]] * len(t))
+    # The sweep reads the bound table, not verify_all's reports: forge a row.
+    forge_slack(monkeypatch, "T2_2", -1.0)
     code = run_cli("sweep", "--ensemble", "disk", "--n", "2", "--trials", "2",
                    "--seed", "1", "--lambda", "1,0", "--r", "0.5")
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("k", [-500, 0, 500])
+def test_violations_are_flagged_relative_to_scale(k, tmp_path, monkeypatch, capsys):
+    # On the scaled operands T2_2 falls short by 2 SLACK_TOL and E2_4 by
+    # SLACK_TOL / 2, so T2_2 is a violation at every scale and E2_4 at none.
+    # An absolute tolerance flagged neither at 2^-500 and both at 2^500.
+    forge_slack(monkeypatch, "T2_2", -2 * SLACK_TOL)
+    forge_slack(monkeypatch, "E2_4", -SLACK_TOL / 2)
+    s = 2.0**k
+    t, cert = gen_disk_instance(1 + 0.5j, 0.4, 4, 0)
+    reps = verify_all(s * t, [DiskCertificate(s * cert.lam, s * cert.r)])
+    assert [rep.inequality_id for rep in reps if rep.violated] == ["T2_2"]
+    path = tmp_path / "a.json"
+    save_matrix(path, s * t)
+    assert run_cli("verify", path, "--lambda", f"{s!r},{s / 2!r}", "--r", repr(s * 0.4)) == 1
+    cfg = cli.SweepConfig(ensemble="disk", n=4, trials=3, seed=1, params={"lam": s * (1 + 0.5j), "r": s * 0.4})
+    aggregate, code = cli.run_sweep(cfg)
+    assert (aggregate["slack_violations"], code) == (3, 1)
+    capsys.readouterr()
 
 
 SWEEP_PARAMS = {
