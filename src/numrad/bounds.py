@@ -295,9 +295,12 @@ def check_sector_hypothesis(a, s: SectorPair):
 
 
 # One bound of the table: lhs <= rhs, both functions of the scaled operands v
-# (see `_scaled`) and homogeneous of degree d in the matrix. needs names the
-# requirements that define a report, hyp the hypothesis added to the
-# certificate check, flag whether the report carries the refinement flag.
+# (see `_scaled`) and homogeneous of degree d in the matrix. The operands are
+# w and n (the norm); for a disk a = |lambda|, r, rho and root =
+# sqrt(a^2 - r^2); for a sector pair sp = |phi + varphi|, sd = |phi - varphi|,
+# rp = Re(phi conj(varphi)), m and M. needs names the requirements that define
+# a report, hyp the hypothesis added to the certificate check, flag whether the
+# report carries the refinement flag.
 _Row = namedtuple("_Row", "iid kind d lhs rhs needs hyp flag", defaults=((), None, False))
 
 
@@ -370,7 +373,7 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
     def s(x):
         return np.ldexp(x, -e)
 
-    v = SimpleNamespace(e=e, w=s(w), n=s(norm), none=np.ones(e.shape, bool))
+    v = SimpleNamespace(e=e, w=s(w), n=s(norm), always=np.ones(e.shape, bool))
     v.nonzero = v.n != 0
     if disk:
         v.a, v.r = s(abs(cert.lam)), s(cert.r)
@@ -387,7 +390,7 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
     v.rp = s(p.real) * s(q.real) + s(p.imag) * s(q.imag)
     v.sector = v.rp > 0
     m, M = cert.segment() or (np.nan, np.nan)
-    v.segment = v.none & (0 < m <= M)
+    v.segment = v.always & (0 < m <= M)
     v.m, v.M = s(m), s(M)
     v.flag = bool(abs(p - q) <= REFINEMENT_RATIO * abs(p + q))
     return v
@@ -408,13 +411,13 @@ def _evaluate(t, cert, w, norm):
     bounds = []
     with np.errstate(all="ignore"):  # rows that a requirement leaves undefined may divide by 0
         for row in ROWS:
-            if row.kind is type(cert):
+            if isinstance(cert, row.kind):
                 needs = {name: getattr(v, name) for name in row.needs}
-                hyp = getattr(v, row.hyp or "none")
+                hyp = getattr(v, row.hyp or "always")
                 ok, lhs, rhs, k = check[0] & hyp, row.lhs(v), row.rhs(v), row.d * v.e
                 scaled = rhs - lhs
                 bounds.append(Bound(
-                    row.iid, functools.reduce(np.logical_and, needs.values(), v.none), ok, hyp, np.ldexp(lhs, k),
+                    row.iid, functools.reduce(np.logical_and, needs.values(), v.always), ok, hyp, np.ldexp(lhs, k),
                     np.ldexp(rhs, k), np.ldexp(scaled, k), scaled, _violated(ok, scaled), needs,
                     v.flag if row.flag else None))
     return check, bounds

@@ -357,7 +357,7 @@ def one_trial_at_a_time(cfg):
             slacks.setdefault(iid, [])
             if rep.hypothesis_ok:
                 slacks[iid].append(rep.slack)
-                violations += rep.slack < -SLACK_TOL
+                violations += rep.violated
             else:
                 failures[iid] += 1
     table = {
