@@ -229,7 +229,8 @@ class InequalityReport:
     @property
     def violated(self) -> bool:
         """The violation test on scaled_slack, or on slack for a report made without it."""
-        return bool(_violated(self.hypothesis_ok, self.slack if self.scaled_slack is None else self.scaled_slack))
+        slack = self.slack if self.scaled_slack is None else self.scaled_slack
+        return bool(_violated(self.hypothesis_ok, slack))
 
 
 def _verdicts(t, ok, measured):
@@ -413,13 +414,13 @@ def _evaluate(t, cert, w, norm):
         for row in ROWS:
             if isinstance(cert, row.kind):
                 needs = {name: getattr(v, name) for name in row.needs}
+                defined = functools.reduce(np.logical_and, needs.values(), v.always)
                 hyp = getattr(v, row.hyp or "always")
                 ok, lhs, rhs, k = check[0] & hyp, row.lhs(v), row.rhs(v), row.d * v.e
                 scaled = rhs - lhs
-                bounds.append(Bound(
-                    row.iid, functools.reduce(np.logical_and, needs.values(), v.always), ok, hyp, np.ldexp(lhs, k),
-                    np.ldexp(rhs, k), np.ldexp(scaled, k), scaled, _violated(ok, scaled), needs,
-                    v.flag if row.flag else None))
+                bounds.append(Bound(row.iid, defined, ok, hyp, np.ldexp(lhs, k), np.ldexp(rhs, k),
+                                    np.ldexp(scaled, k), scaled, _violated(ok, scaled), needs,
+                                    v.flag if row.flag else None))
     return check, bounds
 
 
@@ -560,7 +561,7 @@ def verify_all(t, certs) -> list:
     tables = [(cert, *_evaluate(stack, cert, w, norm)) for cert in certs]
     lists = [
         sorted(
-            (rep for cert, check, bounds in tables for rep in _reports(cert, check, bounds, i, w[i], norm[i])),
+            (rep for table in tables for rep in _reports(*table, i, w[i], norm[i])),
             key=lambda rep: _ID_ORDER[rep.inequality_id],
         )
         for i in range(len(stack))
