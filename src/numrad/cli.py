@@ -145,9 +145,9 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
             violations += int(np.count_nonzero(defined & violated))
     table = {}
     # statistics.median gives np.median's value on finite slacks, at a tenth
-    # of its cost on a chunk's few dozen. Identifiers are listed by the first
-    # trial that has them; the stable sort keeps the canonical order among
-    # identifiers that first appear in the same trial.
+    # of its cost on a few dozen (about 2 ms more on 10^4). Identifiers are
+    # listed by the first trial that has them; the stable sort keeps the
+    # canonical order among identifiers that first appear in the same trial.
     for _, iid, defined, ok, slacks in sorted(rows, key=lambda row: row[0]):
         table[iid] = {
             "evaluated": int(np.count_nonzero(defined)),
