@@ -13,14 +13,15 @@ aggregates. The equivalent CLI calls:
 
 import json
 
+from numrad import DiskCertificate, SectorPair
 from numrad.cli import SweepConfig, run_sweep
 
 for cfg in (
-    SweepConfig(ensemble="disk", n=4, trials=2000, seed=7, params={"lam": 1.0, "r": 0.5}),
-    SweepConfig(ensemble="segment", n=4, trials=1000, seed=7, params={"m": 1.0, "M": 4.0}),
+    SweepConfig(ensemble="disk", n=4, trials=2000, seed=7, cert=DiskCertificate(lam=1.0, r=0.5)),
+    SweepConfig(ensemble="segment", n=4, trials=1000, seed=7, cert=SectorPair.from_segment(1.0, 4.0)),
     # random unit-norm matrices against a fixed certificate: most draws fail
     # the hypothesis, and the aggregate records exactly how many
-    SweepConfig(ensemble="ginibre", n=4, trials=500, seed=7, params={"lam": 1.0, "r": 0.5}),
+    SweepConfig(ensemble="ginibre", n=4, trials=500, seed=7, cert=DiskCertificate(lam=1.0, r=0.5)),
 ):
     aggregate, exit_code = run_sweep(cfg)
     print(f"=== {cfg.ensemble} ensemble, {cfg.trials} trials ===")

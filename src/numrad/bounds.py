@@ -9,9 +9,13 @@ is bounded above. Certificates come in two shapes:
   carrying a gap rho with | |lambda| - w(T) | >= rho;
 * a sector pair (phi, varphi) claiming that B = (A* - conj(varphi) I)
   (phi I - A) is accretive (Hermitian part positive semidefinite), or in the
-  stricter mode self-adjoint and positive semidefinite. A sector pair is
-  equivalent to the disk certificate with center (phi + varphi)/2 and radius
-  |phi - varphi|/2.
+  stricter mode self-adjoint and positive semidefinite. With
+  lambda = (phi + varphi)/2, d = (phi - varphi)/2 and U = A - lambda I,
+  B = (U* + conj(d))(d - U), whose Hermitian part is |d|^2 I - U*U: B is
+  accretive exactly when ||A - lambda I|| <= |d|, and self-adjoint exactly
+  when conj(d) U is Hermitian. So a sector pair is the disk certificate
+  with center (phi + varphi)/2 and radius |phi - varphi|/2 (`sector_to_disk`),
+  and its hypothesis is tested as that disk's.
 
 The bounds are one table, `ROWS`: each row gives an identifier, the
 certificate kind, the requirements that define it, any hypothesis it adds to
@@ -25,11 +29,11 @@ operands is below -SLACK_TOL: the tolerance is relative.
 
 `bound_table` evaluates a certificate's rows over a stack of matrices at
 once, as arrays; sweeps aggregate those arrays. verify_all formats the same
-rows as reports, and the seven evaluators pick out the reports they are
-named for. Each report holds the hypothesis status, both sides, and the
-slack rhs - lhs. A failed hypothesis is data, never an exception, so
-ensemble sweeps can aggregate failures without aborting. The rows, by
-identifier, with their degree d:
+rows as reports for one matrix, and the seven evaluators pick out the
+reports they are named for. Each report holds the hypothesis status, both
+sides, and the slack rhs - lhs. A failed hypothesis is data, never an
+exception, so ensemble sweeps can aggregate failures without aborting. The
+rows, by identifier, with their degree d:
 
     T2_2   1  norm - w <= r^2 / (2 |lambda|)
     E2_4   2  norm^2 + |lambda|^2 <= 2 w |lambda| + r^2
@@ -99,10 +103,9 @@ OPERATOR_ORDER = "operator_order"
 # (the bounds are theorems). It is relative: it is compared with the slack on
 # the pow2-scaled operands of the bound table (see `_violated`).
 SLACK_TOL = 1e-8
-# Relative to the certified radius r (check_disk).
+# Relative to the certified radius r (check_disk, check_sector_hypothesis).
 DISK_TOL = 1e-9
-# Relative to ||A* - conj(varphi) I||_F ||phi I - A||_F (check_sector_hypothesis).
-PSD_TOL = 1e-9
+# Relative to ||conj(d) (A - lambda I)||_F (check_sector_hypothesis).
 SYM_RTOL = 1e-9
 # Both relative to |lambda|: the slack allowed on a claimed rho, and the gap
 # | |lambda| - w | below which auto-rho mode takes the |lambda| = w case.
@@ -266,33 +269,36 @@ def _ldexp(z, e):
 
 
 def check_sector_hypothesis(a, s: SectorPair):
-    """Test the sector hypothesis on A; returns (ok, min eigenvalue).
+    """Test the sector hypothesis on A as its equivalent disk; returns (ok, min eigenvalue).
 
     A is one matrix, which gives (bool, float), or a stack (..., n, n), which
     gives two arrays of shape a.shape[:-2] from one `eigvalsh` call.
-    Forms B = (A* - conj(varphi) I)(phi I - A). Accretivity means
-    Re<Bx, x> >= 0 for all x, which in finite dimension is exactly positive
-    semidefiniteness of the Hermitian part (B + B*)/2; the reported minimum
-    eigenvalue is taken there. OPERATOR_ORDER mode additionally requires B to
-    be self-adjoint. Both tolerances are relative to the product of the two
-    factors' Frobenius norms, which bounds the rounding error in forming B.
-    B is formed from A, phi and varphi times the power of two per matrix that
-    brings the largest of max|a_ij|, |phi| and |varphi| into [1/2, 1), and
-    the minimum eigenvalue is scaled back: the verdict is the same at any scale.
+    With lambda = (phi + varphi)/2, d = (phi - varphi)/2 and U = A - lambda I,
+    B = (A* - conj(varphi) I)(phi I - A) = (U* + conj(d))(d - U), so
+    Re<Bx, x> = |d|^2 ||x||^2 - ||Ux||^2 and B - B* = 2 (d U* - conj(d) U).
+    So B is accretive exactly when ||A - lambda I|| <= |d|, the disk of
+    `sector_to_disk`: the check measures ||U|| with the kernel of `check_disk`
+    and passes at ||U|| <= |d| (1 + DISK_TOL). The reported value is the
+    minimum eigenvalue |d|^2 - ||U||^2 of the Hermitian part (B + B*)/2.
+    OPERATOR_ORDER mode also requires B to be self-adjoint, that is
+    conj(d) U Hermitian to SYM_RTOL relative to its Frobenius norm.
+    U and d are formed from A, phi and varphi times the power of two per
+    matrix that brings the largest of max|a_ij|, |phi| and |varphi| into
+    [1/2, 1), and the minimum eigenvalue is scaled back (to +-inf beyond the
+    double range): the verdict is the same at any scale.
     """
     a = _as_stack(a)
     e = np.frexp(np.maximum(np.abs(a).max(axis=(-2, -1)), max(abs(s.phi), abs(s.varphi))))[1]
     a, phi, varphi = (_ldexp(z, -e[..., None, None]) for z in (a, s.phi, s.varphi))
-    eye = np.eye(a.shape[-1])
-    left, right = a.conj().swapaxes(-1, -2) - np.conj(varphi) * eye, phi * eye - a
-    b = left @ right
-    bh = b.conj().swapaxes(-1, -2)
-    scale = np.linalg.norm(left, axis=(-2, -1)) * np.linalg.norm(right, axis=(-2, -1))
-    min_eig = np.linalg.eigvalsh(0.5 * (b + bh))[..., 0]
-    ok = min_eig >= -PSD_TOL * scale
+    u, d = a - 0.5 * (phi + varphi) * np.eye(a.shape[-1]), 0.5 * (phi - varphi)
+    norm, r = _spectral_norms(u), np.abs(d)[..., 0, 0]
+    ok = norm <= r * (1.0 + DISK_TOL)
     if s.mode == OPERATOR_ORDER:
-        ok &= np.linalg.norm(b - bh, axis=(-2, -1)) <= SYM_RTOL * scale
-    return _verdicts(a, ok, np.ldexp(min_eig, 2 * e))
+        du = np.conj(d) * u
+        asym = np.linalg.norm(du - du.conj().swapaxes(-1, -2), axis=(-2, -1))
+        ok &= asym <= SYM_RTOL * np.linalg.norm(du, axis=(-2, -1))
+    with np.errstate(over="ignore"):
+        return _verdicts(a, ok, np.ldexp(r * r - norm * norm, 2 * e))
 
 
 # One bound of the table: lhs <= rhs, both functions of the scaled operands v
@@ -541,32 +547,20 @@ def eval_segment_bounds(a, s: SectorPair, *, w=None, norm=None):
 
 
 def verify_all(t, certs) -> list:
-    """Run every applicable evaluator for each certificate.
+    """Run every applicable evaluator for each certificate on the matrix T.
 
-    T is one matrix, which gives one report list, or a stack (..., n, n),
-    which gives one report list per matrix, in order; each list equals the
-    one its matrix gets alone. The radii and norms of the stack are computed
-    once, with one `numerical_radius` and one norm call, and each
-    certificate's table (see `bound_table`) is evaluated once for the whole
-    stack; this function only formats its rows as reports. Hypothesis
-    failures are recorded in the reports; bounds that are structurally
-    inapplicable to a certificate (zero operator, nonpositive Re(phi *
-    conj(varphi)), missing real segment) are skipped rather than raised.
-    Reports come back sorted by the canonical identifier order, stably over
-    certificates.
+    The radius and the norm are computed once, and each certificate's table
+    (see `bound_table`, the stacked entry) is evaluated once; this function
+    only formats its rows as reports. Hypothesis failures are recorded in the
+    reports; bounds that are structurally inapplicable to a certificate (zero
+    operator, nonpositive Re(phi * conj(varphi)), missing real segment) are
+    skipped rather than raised. Reports come back sorted by the canonical
+    identifier order, stably over certificates.
     """
-    t = _as_stack(t)
-    stack = t.reshape(-1, *t.shape[-2:])
-    w, norm = numerical_radius(stack), _spectral_norms(stack)
-    tables = [(cert, *_evaluate(stack, cert, w, norm)) for cert in certs]
-    lists = [
-        sorted(
-            (rep for table in tables for rep in _reports(*table, i, w[i], norm[i])),
-            key=lambda rep: _ID_ORDER[rep.inequality_id],
-        )
-        for i in range(len(stack))
-    ]
-    return lists[0] if t.ndim == 2 else lists
+    t = as_matrix(t)[None]
+    w, norm = numerical_radius(t), _spectral_norms(t)
+    reports = (rep for cert in certs for rep in _reports(cert, *_evaluate(t, cert, w, norm), 0, w[0], norm[0]))
+    return sorted(reports, key=lambda rep: _ID_ORDER[rep.inequality_id])
 
 
 def optimize_lambda(t) -> DiskCertificate:

@@ -15,7 +15,7 @@ import functools
 import json
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,11 +66,19 @@ def parse_complex(text: str) -> complex:
 
 @dataclass
 class SweepConfig:
+    """A sweep: trials of one ensemble, each verified against cert.
+
+    disk and segment draws satisfy cert by construction, and cert fixes the
+    disk or the real segment they are drawn from; ginibre and nilpotent draws
+    are tested against the given disk, so hypothesis failures there are
+    expected data.
+    """
+
     ensemble: str
     n: int
     trials: int
     seed: int
-    params: dict = field(default_factory=dict)
+    cert: DiskCertificate | SectorPair
 
     def __post_init__(self):
         if self.ensemble not in ENSEMBLES:
@@ -81,24 +89,11 @@ class SweepConfig:
             raise ValueError("nilpotent ensemble needs n >= 2")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
-        need = ("m", "M") if self.ensemble == "segment" else ("lam", "r")
-        for key in need:
-            if self.params.get(key) is None:
-                flag = {"lam": "--lambda", "r": "--r", "m": "--m", "M": "--M"}[key]
-                raise ValueError(f"ensemble {self.ensemble!r} requires {flag}")
-
-
-def _certificate(cfg: SweepConfig):
-    """The one certificate that every trial of the sweep is verified against.
-
-    disk and segment draws satisfy it by construction; ginibre and nilpotent
-    draws are tested against the user-supplied disk, so hypothesis failures
-    there are expected data.
-    """
-    p = cfg.params
-    if cfg.ensemble == "segment":
-        return SectorPair.from_segment(p["m"], p["M"])
-    return DiskCertificate(lam=p["lam"], r=p["r"])
+        if self.ensemble == "segment":
+            if not isinstance(self.cert, SectorPair) or self.cert.segment() is None:
+                raise ValueError("ensemble 'segment' needs a real segment pair")
+        elif not isinstance(self.cert, DiskCertificate):
+            raise ValueError(f"ensemble {self.ensemble!r} needs a disk certificate")
 
 
 def _draw(cfg: SweepConfig, seeds) -> np.ndarray:
@@ -110,11 +105,10 @@ def _draw(cfg: SweepConfig, seeds) -> np.ndarray:
     disk, ginibre and nilpotent draws, and one batched QR makes the segment
     draws' unitaries.
     """
-    p = cfg.params
     if cfg.ensemble == "disk":
-        return _disk_stack(p["lam"], p["r"], cfg.n, seeds)
+        return _disk_stack(cfg.cert.lam, cfg.cert.r, cfg.n, seeds)
     if cfg.ensemble == "segment":
-        return _segment_stack(p["m"], p["M"], cfg.n, seeds)
+        return _segment_stack(*cfg.cert.segment(), cfg.n, seeds)
     if cfg.ensemble == "nilpotent":
         return _nilpotent_stack(cfg.n, seeds)
     return _ginibre_stack(cfg.n, seeds)
@@ -132,8 +126,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     trial_seeds = np.random.default_rng(cfg.seed).integers(
         0, 2**63, size=cfg.trials, dtype=np.uint64
     )
-    cert = _certificate(cfg)
-    chunks = [bound_table(_draw(cfg, trial_seeds[i:i + _CHUNK].tolist()), cert)
+    chunks = [bound_table(_draw(cfg, trial_seeds[i:i + _CHUNK].tolist()), cfg.cert)
               for i in range(0, cfg.trials, _CHUNK)]
     rows, violations = [], 0
     for parts in zip(*chunks):
@@ -155,12 +148,9 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
             "min_slack": min(slacks) if slacks else None,
             "median_slack": statistics.median(slacks) if slacks else None,
         }
-    p = cfg.params
-    params: dict = {}
-    if p.get("lam") is not None:
-        params.update({"lambda": [complex(p["lam"]).real, complex(p["lam"]).imag], "r": float(p["r"])})
-    if p.get("m") is not None:
-        params.update(m=float(p["m"]), M=float(p["M"]))
+    c = cfg.cert
+    params = (dict(zip(("m", "M"), c.segment())) if cfg.ensemble == "segment"
+              else {"lambda": [c.lam.real, c.lam.imag], "r": c.r})
     aggregate = {
         "ensemble": cfg.ensemble,
         "n": cfg.n,
@@ -216,10 +206,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = {"lam": args.lam, "r": args.r, "m": args.m, "M": args.M}
-    cfg = SweepConfig(
-        ensemble=args.ensemble, n=args.n, trials=args.trials, seed=args.seed, params=params
-    )
+    segment = args.ensemble == "segment"
+    flags = (("--m", args.m), ("--M", args.M)) if segment else (("--lambda", args.lam), ("--r", args.r))
+    for flag, value in flags:
+        if value is None:
+            raise ValueError(f"ensemble {args.ensemble!r} requires {flag}")
+    cert = SectorPair.from_segment(args.m, args.M) if segment else DiskCertificate(lam=args.lam, r=args.r)
+    cfg = SweepConfig(ensemble=args.ensemble, n=args.n, trials=args.trials, seed=args.seed, cert=cert)
     aggregate, code = run_sweep(cfg)
     print(json.dumps(aggregate, indent=2))
     return code

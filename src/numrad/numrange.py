@@ -229,16 +229,20 @@ def numerical_radius(a):
     and so is the gap through psi, where f < r.
     The iteration runs on each matrix scaled by its own power of two (exact),
     and returns L. A zero matrix has radius 0 and skips the iteration, whose
-    level-set solve would be singular.
+    level-set solve would be singular; so does a 1 x 1 matrix, whose radius
+    is |a11|, since W(A) = {a11}.
     """
     a = _as_stack(a)
     shape, n = a.shape[:-2], a.shape[-1]
+    if n == 1:
+        # hypot, not abs: numpy's complex abs rounds differently by the strides of its input.
+        w = np.hypot(a.real, a.imag).reshape(shape)
+        return float(w) if not shape else w
     a, e = pow2_scaled(a.reshape(-1, n, n))
     w = np.zeros(e.shape)
     nonzero = np.flatnonzero(a.any(axis=(1, 2)))
     a, e = a[nonzero], e[nonzero]
     ac = a.conj()
-    count = a.shape[0]
     sup, stack = _seed_supports(a, ac)
     ring = np.concatenate([sup[:, -1:], sup, sup[:, :1]], axis=1)
     owner, k = np.nonzero((sup >= ring[:, :-2]) & (sup >= ring[:, 2:]))
@@ -248,11 +252,11 @@ def numerical_radius(a):
     k = np.argmin(sup, axis=1)
     psi = _SEED_ANGLES[k]
     half = stack.shape[1]
-    h = stack[np.arange(count), k % half] * np.where(k < half, 1.0, -1.0)[:, None, None]
+    h = stack[np.arange(len(a)), k % half] * np.where(k < half, 1.0, -1.0)[:, None, None]
     ah = ac.swapaxes(-1, -2)
     dh = 0.5j * (np.exp(1j * psi)[:, None, None] * a - np.exp(-1j * psi)[:, None, None] * ah)
     eye = np.eye(n)
-    live = np.arange(count)
+    live = np.arange(len(a))
     for _ in range(_MAX_TESTS):
         r = best[live] * (1.0 + LEVEL_RTOL)
         ri = r[:, None, None] * eye
@@ -269,12 +273,10 @@ def numerical_radius(a):
         if not up.any():
             w[nonzero] = np.ldexp(best, e)
             return float(w[0]) if not shape else w.reshape(shape)
-        failed = np.zeros(count, dtype=bool)
-        failed[owner[up]] = True
-        retest = failed[owner]
-        np.maximum.at(best, owner[retest], vals[retest])
+        # A matrix's largest midpoint value is above r when any is.
+        np.maximum.at(best, owner[up], vals[up])
         _polish(a, ac, *_starts(owner[up], mids[up], vals[up]), best)
-        live = np.flatnonzero(failed)
+        live = np.unique(owner[up])
     raise NoConvergence(f"numerical radius not certified after {_MAX_TESTS} level-set tests")
 
 

@@ -4,20 +4,20 @@ Every report must be equivariant under 2^k scaling of the matrix and the
 certificate, invariant under a unitary change of basis, under the adjoint
 (with the certificate conjugated) and under a rotation e^{i alpha} A (with
 the certificate rotated), and a row of the stacked table must hold exactly
-what verify_all reports for its matrix alone. The examples are derandomized,
-so a run is reproducible and writes no example database.
+what verify_all reports for its matrix alone. A sector pair and its
+equivalent disk must get one verdict. The examples are derandomized, so a
+run is reproducible and writes no example database.
 """
-
-from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from numrad import bounds, numrange
-from numrad.bounds import ACCRETIVE, DiskCertificate, SectorPair, bound_table, verify_all
+from numrad.bounds import (ACCRETIVE, DiskCertificate, SectorPair, bound_table, check_disk,
+                           check_sector_hypothesis, sector_to_disk, verify_all)
 from numrad.extremal import gen_disk_instance, gen_segment_instance, ginibre, random_unitary
 from numrad.linalg import operator_norm
+from test_bounds import report_entries, row_entries
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -100,24 +100,28 @@ def test_reports_are_invariant_under_a_rotation(kind, n, seed, alpha):
     assert_close(verify_all(ph * t, [transformed(cert, lambda z: ph * z)]), verify_all(t, [cert]), 1e-12)
 
 
-def radius_of_each_matrix_alone(a):
-    """numerical_radius, computed for each matrix of a stack on its own."""
-    return numrange.numerical_radius(a) if a.ndim == 2 else np.array([numrange.numerical_radius(t) for t in a])
-
-
 @SETTINGS
 @given(kinds, st.lists(st.tuples(kinds, seeds, st.integers(-600, 600)), min_size=1, max_size=5), sizes)
 def test_stacked_table_rows_equal_verify_all_on_each_matrix(cert_kind, draws, n):
-    # The table's own stacking, with each radius computed alone: at n = 1 a
-    # stacked radius can differ from its matrix's own in the last bit.
     cert = instance(cert_kind, n, 0)[1]
     stack = np.array([2.0**k * instance(kind, n, seed)[0] for kind, seed, k in draws])
-    with mock.patch.object(bounds, "numerical_radius", radius_of_each_matrix_alone), \
-            np.errstate(over="ignore"):  # a sector check's minimum eigenvalue near 2^1200
-        rows = bound_table(stack, cert)
-        for i, t in enumerate(stack):
-            assert [(b.iid, bool(b.ok[i]), float(b.lhs[i]), float(b.rhs[i]), float(b.slack[i]),
-                     float(b.scaled_slack[i]), bool(b.violated[i])) for b in rows if b.defined[i]] == [
-                (r.inequality_id, r.hypothesis_ok, r.lhs, r.rhs, r.slack, r.scaled_slack, r.violated)
-                for r in verify_all(t, [cert])
-            ]
+    rows = bound_table(stack, cert)
+    for i, t in enumerate(stack):
+        assert row_entries(rows, i) == report_entries(verify_all(t, [cert]))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(sizes, seeds, st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0), st.floats(0.01, 10.0),
+       st.floats(0.0, 2 * np.pi), st.floats(-13.0, -5.0), st.booleans(), st.sampled_from((-300, 0, 300)))
+def test_a_sector_pair_and_its_disk_get_one_verdict(n, seed, lam, d, angle, log_gap, outside, k):
+    # The pair lam +- d e^{i angle}, and A with ||A - lambda I|| within
+    # 1e-13..1e-5 of r on either side: across the tolerance band of the disk
+    # check, the sector check is the disk check.
+    pair = SectorPair(lam + d * np.exp(1j * angle), lam - d * np.exp(1j * angle), ACCRETIVE)
+    disk = sector_to_disk(pair)
+    g = ginibre(n, np.random.default_rng(seed))
+    rel = 1.0 + (10.0**log_gap if outside else -(10.0**log_gap))
+    s = 2.0**k
+    t = s * (disk.lam * np.eye(n) + rel * disk.r * (g / operator_norm(g)))
+    pair = SectorPair(s * pair.phi, s * pair.varphi, ACCRETIVE)
+    assert check_sector_hypothesis(t, pair)[0] == check_disk(t, sector_to_disk(pair))[0]

@@ -528,8 +528,10 @@ def test_verify_all_checks_each_hypothesis_once(monkeypatch):
     assert len(reps) == 14
     assert sorted(calls) == ["check_disk", "check_sector_hypothesis"]
     calls.clear()
-    assert verify_all(np.array([a, 2.0 * a, a]), [s, sector_to_disk(s)])[2] == reps
+    stack = np.array([a, 2.0 * a, a])
+    rows = bound_table(stack, s) + bound_table(stack, sector_to_disk(s))
     assert sorted(calls) == ["check_disk", "check_sector_hypothesis"]
+    assert sorted(row_entries(rows, 2), key=lambda e: ROW_IDS.index(e[0])) == report_entries(reps)
 
 
 # Certificates of every kind: one that the disk draws pass, one with a rho,
@@ -556,20 +558,37 @@ def mixed_stack(n, k):
     return np.array(mats + [mats[0] * 2.0**k, mats[2] * 2.0**k])
 
 
+def row_entries(rows, i):
+    """Entry i of each row that is defined there, as the fields of its report."""
+    return [(b.iid, bool(b.ok[i]), float(b.lhs[i]), float(b.rhs[i]), float(b.slack[i]),
+             float(b.scaled_slack[i]), bool(b.violated[i]), b.flag) for b in rows if b.defined[i]]
+
+
+def report_entries(reps):
+    return [(r.inequality_id, r.hypothesis_ok, r.lhs, r.rhs, r.slack, r.scaled_slack, r.violated,
+             r.refinement_flag) for r in reps]
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_stacked_verify_all_equals_one_matrix_at_a_time(n):
+    # The stacked entry is bound_table; verify_all takes one matrix. At 2^600
+    # the degree-2 sides (norm^2 and the like) are inf, alone as in a stack.
     for k in (-600, 600):
-        # At 2^600 the degree-2 sides (norm^2 and the like) are inf, alone as
-        # in a stack, and a sector check's minimum eigenvalue (about 2^1200) too.
         stack = mixed_stack(n, k)
-        with np.errstate(over="ignore"):
-            lists = verify_all(stack, STACK_CERTS)
-            assert len(lists) == len(stack)
-            for t, reps in zip(stack, lists):
-                assert reps == verify_all(t, STACK_CERTS)
-                assert all(type(rep.w) is float and type(rep.norm) is float for rep in reps)
-            assert verify_all(stack[:1], STACK_CERTS) == lists[:1]
-        assert verify_all(stack, []) == [[]] * len(stack)
+        for cert in STACK_CERTS:
+            rows = bound_table(stack, cert)
+            first = bound_table(stack[:1], cert)
+            assert row_entries(first, 0) == row_entries(rows, 0)
+            for i, t in enumerate(stack):
+                assert row_entries(rows, i) == report_entries(verify_all(t, [cert]))
+        for t in stack:
+            reps = verify_all(t, STACK_CERTS)
+            assert reps == sorted((rep for cert in STACK_CERTS for rep in verify_all(t, [cert])),
+                                  key=lambda rep: ROW_IDS.index(rep.inequality_id))
+            assert all(type(rep.w) is float and type(rep.norm) is float for rep in reps)
+            assert verify_all(t, []) == []
+        with pytest.raises(ValueError):
+            verify_all(stack, STACK_CERTS)
 
 
 @pytest.mark.parametrize("k", [600, -600])
@@ -579,9 +598,8 @@ def test_stacked_checks_equal_one_matrix_at_a_time(k):
     checks += [(check_sector_hypothesis, pair) for pair in STACK_CERTS[3:]]
     for check, cert in checks:
         # At 2^600 a sector check's minimum eigenvalue, about 2^1200, is inf.
-        with np.errstate(over="ignore"):
-            ok, value = check(stack, cert)
-            alone = [check(t, cert) for t in stack]
+        ok, value = check(stack, cert)
+        alone = [check(t, cert) for t in stack]
         assert ok.shape == value.shape == (len(stack),)
         assert all(type(o) is bool and type(v) is float for o, v in alone)
         assert list(zip(ok.tolist(), value.tolist())) == alone
@@ -594,11 +612,7 @@ def test_stacked_table_rows_are_the_reports_of_each_matrix():
         rows = bound_table(stack, cert)
         assert [b.iid for b in rows] == sorted((b.iid for b in rows), key=ROW_IDS.index)
         for i, t in enumerate(stack):
-            reps = verify_all(t, [cert])
-            assert [(b.iid, bool(b.ok[i]), float(b.lhs[i]), float(b.rhs[i]), float(b.slack[i]))
-                    for b in rows if b.defined[i]] == [
-                (rep.inequality_id, rep.hypothesis_ok, rep.lhs, rep.rhs, rep.slack) for rep in reps
-            ]
+            assert row_entries(rows, i) == report_entries(verify_all(t, [cert]))
             assert not any(b.violated[i] for b in rows if b.defined[i])
 
 
@@ -625,8 +639,8 @@ def test_sector_identifiers_do_not_depend_on_scale(k):
     # C3_6, C3_7 and C4_6 as an invalid sector without a word.
     a, _ = gen_segment_instance(1.0, 4.0, 4, 3)
     s = 2.0**k
-    with np.errstate(over="ignore"):  # the check's minimum eigenvalue at 2^540 is inf
-        reps = verify_all(s * a, [SectorPair((4 + 0.001j) * s, s)])
+    # The check's minimum eigenvalue at 2^540 is inf, and no warning.
+    reps = verify_all(s * a, [SectorPair((4 + 0.001j) * s, s)])
     assert [rep.inequality_id for rep in reps] == ["C2_7", "C3_6", "C3_7", "C4_6"]
 
 

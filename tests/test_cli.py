@@ -1,6 +1,10 @@
 """Golden CLI invocations and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,9 +285,27 @@ def test_sweep_nilpotent(capsys):
 def test_sweep_requires_ensemble_params(capsys):
     assert run_cli("sweep", "--ensemble", "disk", "--n", "3", "--trials", "5",
                    "--seed", "1") == 2
+    assert capsys.readouterr().err == "error: ensemble 'disk' requires --lambda\n"
     assert run_cli("sweep", "--ensemble", "segment", "--n", "3", "--trials", "5",
                    "--seed", "1", "--lambda", "1,0", "--r", "1") == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: ensemble 'segment' requires --m\n"
+    assert run_cli("sweep", "--ensemble", "ginibre", "--n", "3", "--trials", "5",
+                   "--seed", "1", "--lambda", "1,0") == 2
+    assert capsys.readouterr().err == "error: ensemble 'ginibre' requires --r\n"
+    for ensemble, cert in (("segment", DiskCertificate(1, 1)), ("segment", SectorPair(2 + 1j, 1)),
+                           ("nilpotent", SectorPair.from_segment(1, 4))):
+        with pytest.raises(ValueError, match="needs a"):
+            cli.SweepConfig(ensemble=ensemble, n=3, trials=5, seed=1, cert=cert)
+
+
+def test_sweep_echoes_the_certificate_it_verifies(capsys):
+    # A flag that the ensemble ignores is not echoed (it once crashed the echo).
+    assert run_cli("sweep", "--ensemble", "disk", "--n", "2", "--trials", "2", "--seed", "1",
+                   "--lambda", "1,0.5", "--r", "0.5", "--m", "1") == 0
+    assert sweep_lines(capsys)["params"] == {"lambda": [1.0, 0.5], "r": 0.5}
+    assert run_cli("sweep", "--ensemble", "segment", "--n", "2", "--trials", "2", "--seed", "1",
+                   "--m", "1", "--M", "4", "--r", "0.5") == 0
+    assert sweep_lines(capsys)["params"] == {"m": 1.0, "M": 4.0}
 
 
 def forge_slack(monkeypatch, iid, scaled_slack):
@@ -316,28 +338,27 @@ def test_violations_are_flagged_relative_to_scale(k, tmp_path, monkeypatch, caps
     path = tmp_path / "a.json"
     save_matrix(path, s * t)
     assert run_cli("verify", path, "--lambda", f"{s!r},{s / 2!r}", "--r", repr(s * 0.4)) == 1
-    cfg = cli.SweepConfig(ensemble="disk", n=4, trials=3, seed=1, params={"lam": s * (1 + 0.5j), "r": s * 0.4})
+    cfg = cli.SweepConfig(ensemble="disk", n=4, trials=3, seed=1, cert=DiskCertificate(s * (1 + 0.5j), s * 0.4))
     aggregate, code = cli.run_sweep(cfg)
     assert (aggregate["slack_violations"], code) == (3, 1)
     capsys.readouterr()
 
 
-SWEEP_PARAMS = {
-    "disk": {"lam": 1 + 0.5j, "r": 0.4},
-    "segment": {"m": 1.0, "M": 3.0},
-    "ginibre": {"lam": 0.5, "r": 1.2},
-    "nilpotent": {"lam": 0.5, "r": 1.2},
+SWEEP_CERTS = {
+    "disk": DiskCertificate(1 + 0.5j, 0.4),
+    "segment": SectorPair.from_segment(1.0, 3.0),
+    "ginibre": DiskCertificate(0.5, 1.2),
+    "nilpotent": DiskCertificate(0.5, 1.2),
 }
 
 
 def one_trial_draw(cfg, seed):
     """(matrix, certificate) of one trial, drawn through the public generators with an int seed."""
-    p = cfg.params
+    cert = cfg.cert
     if cfg.ensemble == "disk":
-        return gen_disk_instance(p["lam"], p["r"], cfg.n, seed)
+        return gen_disk_instance(cert.lam, cert.r, cfg.n, seed)
     if cfg.ensemble == "segment":
-        return gen_segment_instance(p["m"], p["M"], cfg.n, seed)
-    cert = DiskCertificate(lam=p["lam"], r=p["r"])
+        return gen_segment_instance(*cert.segment(), cfg.n, seed)
     if cfg.ensemble == "ginibre":
         g = ginibre(cfg.n, np.random.default_rng(seed))
         return g / operator_norm(g), cert
@@ -376,7 +397,7 @@ def one_trial_at_a_time(cfg):
 def test_chunked_sweep_is_bit_identical_to_one_trial_at_a_time(ensemble):
     for trials in (1, 64, 65):
         cfg = cli.SweepConfig(ensemble=ensemble, n=4, trials=trials, seed=trials + 5,
-                              params=SWEEP_PARAMS[ensemble])
+                              cert=SWEEP_CERTS[ensemble])
         aggregate, code = cli.run_sweep(cfg)
         table, violations = one_trial_at_a_time(cfg)
         assert list(aggregate["inequalities"]) == list(table)
@@ -407,7 +428,7 @@ def test_sweep_lapack_calls_grow_with_chunks_not_trials(ensemble, monkeypatch):
         calls.clear()
         draw_calls.clear()
         cli.run_sweep(cli.SweepConfig(ensemble=ensemble, n=4, trials=trials, seed=3,
-                                      params=SWEEP_PARAMS[ensemble]))
+                                      cert=SWEEP_CERTS[ensemble]))
         assert sum(draw_calls) <= trials
         assert len(calls) - sum(draw_calls) <= 32 * (trials // 64)
 
@@ -487,23 +508,35 @@ def test_one_parser_serves_every_call_without_leaking_state(s2_file, monkeypatch
 # ----------------------------------------------------------- entry points
 
 
-def test_module_is_executable(s2_file):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def run_module(*argv):
+    """`python -m numrad argv` in a fresh process, with its output captured as text."""
     # pytest's pythonpath setting does not reach a subprocess, so src/ is
     # put on its PYTHONPATH: the test then runs from a bare checkout too.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "numrad", "compute", str(s2_file), "--out",
-         str(s2_file.parent / "out.csv")],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "numrad", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_is_executable(s2_file):
+    proc = run_module("compute", s2_file, "--out", s2_file.parent / "out.csv")
     assert proc.returncode == 0
     assert proc.stdout.startswith("w=")
+
+
+def test_verify_stderr_is_only_its_error_line_at_2_540(tmp_path):
+    # The sector check's minimum eigenvalue, about 2^1080, is inf; scaling it
+    # back once printed numpy's overflow warning ahead of the error line.
+    a, _ = gen_segment_instance(1.0, 4.0, 4, 3)
+    s = 2.0**540
+    path = tmp_path / "a.json"
+    save_matrix(path, s * a)
+    proc = run_module("verify", path, "--phi", f"{4 * s!r},{0.001 * s!r}", "--varphi", repr(s))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: the norm is beyond the range the report formulas support "
+                           "(a side of a passing bound exceeds the double range)\n")
+    assert [json.loads(line)["inequality_id"] for line in proc.stdout.splitlines()] == [
+        "C2_7", "C3_6", "C3_7", "C4_6"]
 
 
 # --------------------------------------------------------------- round trip

@@ -245,6 +245,8 @@ def test_radius_of_hermitian_with_antipodal_maxima(spectrum):
 def test_radius_of_one_by_one_and_zero():
     assert abs(numerical_radius([[3.0 - 4.0j]]) - 5.0) <= 5e-12
     assert numerical_radius(np.zeros((3, 3))) == 0.0
+    # W(A) = {a11}: the radius is |a11| itself, alone or in a stack.
+    assert numerical_radius(np.array([[[3.0 - 4.0j]], [[5.0 + 12.0j]]])).tolist() == [5.0, 13.0]
 
 
 def test_radius_is_exact_under_power_of_two_scaling():
