@@ -235,7 +235,8 @@ def numerical_radius(a):
     a = _as_stack(a)
     shape, n = a.shape[:-2], a.shape[-1]
     if n == 1:
-        # hypot, not abs: numpy's complex abs rounds differently by the strides of its input.
+        # hypot, not abs: numpy's complex abs rounds one value differently in
+        # contiguous and strided arrays, so a radius would depend on its stack.
         w = np.hypot(a.real, a.imag).reshape(shape)
         return float(w) if not shape else w
     a, e = pow2_scaled(a.reshape(-1, n, n))
@@ -273,10 +274,11 @@ def numerical_radius(a):
         if not up.any():
             w[nonzero] = np.ldexp(best, e)
             return float(w[0]) if not shape else w.reshape(shape)
-        # A matrix's largest midpoint value is above r when any is.
+        # A matrix's largest midpoint value is above r when any is. (bincount
+        # lists the owners above r: np.unique cost the sweep 1 MB of peak RSS.)
         np.maximum.at(best, owner[up], vals[up])
         _polish(a, ac, *_starts(owner[up], mids[up], vals[up]), best)
-        live = np.unique(owner[up])
+        live = np.flatnonzero(np.bincount(owner[up], minlength=len(a)))
     raise NoConvergence(f"numerical radius not certified after {_MAX_TESTS} level-set tests")
 
 
