@@ -276,7 +276,7 @@ def check_sector_hypothesis(a, s: SectorPair):
     With lambda = (phi + varphi)/2, d = (phi - varphi)/2 and U = A - lambda I,
     B = (A* - conj(varphi) I)(phi I - A) = (U* + conj(d))(d - U), so
     Re<Bx, x> = |d|^2 ||x||^2 - ||Ux||^2 and B - B* = 2 (d U* - conj(d) U).
-    So B is accretive exactly when ||A - lambda I|| <= |d|, the disk of
+    B is therefore accretive exactly when ||A - lambda I|| <= |d|, the disk of
     `sector_to_disk`: the check measures ||U|| with the kernel of `check_disk`
     and passes at ||U|| <= |d| (1 + DISK_TOL). The reported value is the
     minimum eigenvalue |d|^2 - ||U||^2 of the Hermitian part (B + B*)/2.
@@ -559,7 +559,8 @@ def verify_all(t, certs) -> list:
     """
     t = as_matrix(t)[None]
     w, norm = numerical_radius(t), _spectral_norms(t)
-    reports = (rep for cert in certs for rep in _reports(cert, *_evaluate(t, cert, w, norm), 0, w[0], norm[0]))
+    reports = (rep for cert in certs
+               for rep in _reports(cert, *_evaluate(t, cert, w, norm), 0, w[0], norm[0]))
     return sorted(reports, key=lambda rep: _ID_ORDER[rep.inequality_id])
 
 

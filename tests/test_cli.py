@@ -338,7 +338,8 @@ def test_violations_are_flagged_relative_to_scale(k, tmp_path, monkeypatch, caps
     path = tmp_path / "a.json"
     save_matrix(path, s * t)
     assert run_cli("verify", path, "--lambda", f"{s!r},{s / 2!r}", "--r", repr(s * 0.4)) == 1
-    cfg = cli.SweepConfig(ensemble="disk", n=4, trials=3, seed=1, cert=DiskCertificate(s * (1 + 0.5j), s * 0.4))
+    cfg = cli.SweepConfig(ensemble="disk", n=4, trials=3, seed=1,
+                          cert=DiskCertificate(s * (1 + 0.5j), s * 0.4))
     aggregate, code = cli.run_sweep(cfg)
     assert (aggregate["slack_violations"], code) == (3, 1)
     capsys.readouterr()
