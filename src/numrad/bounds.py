@@ -55,6 +55,15 @@ T3_2, R3_5, T4_2, C3_6, C3_7 and R4_9..R4_12 are undefined for the zero
 operator; C3_6, C3_7 and C4_6 need Re(phi conj(varphi)) > 0. T3_2, R3_5 and
 T4_2 add |lambda| > r to the hypothesis, and C2_13 adds a claimed
 rho <= | |lambda| - w |.
+
+The sector and segment rows are evaluated on the pair's equivalent disk,
+|lambda| = |phi + varphi|/2 and r = |phi - varphi|/2, where
+Re(phi conj(varphi)) = |lambda|^2 - r^2 and, for a segment, M + m = 2|lambda|,
+M - m = 2r and sqrt(mM) = sqrt(|lambda|^2 - r^2). So each is one of 9
+formulas over the operands w, norm, |lambda|, r, sqrt(|lambda|^2 - r^2) and
+rho, and twins agree bit for bit: C2_7 and R4_12 are T2_2, C3_6 is T3_2,
+C3_7 is R3_5, and C4_6 and R4_11 are T4_2. Re(phi conj(varphi)) > 0 is
+tested as |lambda| > r.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import _as_stack, _spectral_norms, as_matrix, operator_norm, pow2_scaled, shifted_norms
+from .linalg import _as_stack, _ldexp, _spectral_norms, as_matrix, operator_norm, pow2_scaled, shifted_norms
 from .numrange import _SEED_ANGLES, _seed_supports, numerical_radius
 
 __all__ = [
@@ -263,11 +272,6 @@ def sector_to_disk(s: SectorPair) -> DiskCertificate:
     return DiskCertificate(lam=(s.phi + s.varphi) / 2.0, r=abs(s.phi - s.varphi) / 2.0)
 
 
-def _ldexp(z, e):
-    """z 2^e for complex z, exact in each part and its sign (x + 1j y loses a -0.0 x)."""
-    return np.ldexp(np.stack([np.real(z), np.imag(z)], -1), e[..., None]).view(complex)[..., 0]
-
-
 def check_sector_hypothesis(a, s: SectorPair):
     """Test the sector hypothesis on A as its equivalent disk; returns (ok, min eigenvalue).
 
@@ -303,11 +307,13 @@ def check_sector_hypothesis(a, s: SectorPair):
 
 # One bound of the table: lhs <= rhs, both functions of the scaled operands v
 # (see `_scaled`) and homogeneous of degree d in the matrix. The operands are
-# w and n (the norm); for a disk a = |lambda|, r, rho and root =
-# sqrt(a^2 - r^2); for a sector pair sp = |phi + varphi|, sd = |phi - varphi|,
-# rp = Re(phi conj(varphi)), m and M. needs names the requirements that define
-# a report, hyp the hypothesis added to the certificate check, flag whether the
-# report carries the refinement flag.
+# w and n (the norm), a = |lambda|, r, root = sqrt(a^2 - r^2) and, for a disk,
+# rho. A sector pair enters as its equivalent disk, a = |phi + varphi|/2 and
+# r = |phi - varphi|/2, so Re(phi conj(varphi)) = a^2 - r^2, and for a segment
+# M + m = 2a, M - m = 2r and sqrt(mM) = root: each sector row is a disk row's
+# formula. needs names the requirements that define a report, hyp the
+# hypothesis added to the certificate check, flag whether the report carries
+# the refinement flag.
 _Row = namedtuple("_Row", "iid kind d lhs rhs needs hyp flag", defaults=((), None, False))
 
 
@@ -319,29 +325,31 @@ def _sq_gap(v):
     return v.n * v.n - v.w * v.w
 
 
-def _root_gap(v):
-    return (np.sqrt(v.M) - np.sqrt(v.m)) ** 2
-
-
+# The formulas that twin rows share, as (d, lhs, rhs): C2_7 and R4_12 are
+# T2_2 (inf at a = 0, that is phi = -varphi), C3_6 is T3_2, C3_7 is R3_5,
+# C4_6 and R4_11 are T4_2.
+_HALF = (1, _gap, lambda v: np.where(v.a > 0, 0.5 * v.r * v.r / v.a, np.inf))
+_RATIO = (0, lambda v: v.root / v.a, lambda v: v.w / v.n)
+_SQ_RATIO = (2, _sq_gap, lambda v: (v.r / v.a) ** 2 * (v.n * v.n))
+_WEIGHTED = (2, _sq_gap, lambda v: 2.0 * v.r * v.r * v.w / (v.a + v.root))
 _D, _S, _SEC, _SEG = DiskCertificate, SectorPair, ("sector", "nonzero"), ("segment", "nonzero")
 # The bounds, in canonical report order.
 ROWS = (
-    _Row("T2_2", _D, 1, _gap, lambda v: 0.5 * v.r * v.r / v.a),
+    _Row("T2_2", _D, *_HALF),
     _Row("E2_4", _D, 2, lambda v: v.n * v.n + v.a * v.a, lambda v: 2.0 * v.w * v.a + v.r * v.r),
-    _Row("C2_7", _S, 1, _gap, lambda v: np.where(v.sp > 0, 0.25 * v.sd * v.sd / v.sp, np.inf)),
+    _Row("C2_7", _S, *_HALF),
     _Row("C2_13", _D, 2, _sq_gap, lambda v: v.r * v.r - v.rho * v.rho, ("apart",), "rho_ok"),
     _Row("R2_15", _D, 2, _sq_gap, lambda v: v.r * v.r, ("coincide",)),
-    _Row("T3_2", _D, 0, lambda v: np.sqrt(np.maximum(1.0 - (v.r / v.a) ** 2, 0.0)),
-         lambda v: v.w / v.n, ("nonzero",), "center", True),
-    _Row("R3_5", _D, 2, _sq_gap, lambda v: (v.r / v.a) ** 2 * (v.n * v.n), ("nonzero",), "center", True),
-    _Row("C3_6", _S, 0, lambda v: 2.0 * np.sqrt(v.rp) / v.sp, lambda v: v.w / v.n, _SEC, None, True),
-    _Row("C3_7", _S, 2, _sq_gap, lambda v: (v.sd / v.sp) ** 2 * (v.n * v.n), _SEC, None, True),
-    _Row("T4_2", _D, 2, _sq_gap, lambda v: 2.0 * v.r * v.r * v.w / (v.a + v.root), ("nonzero",), "center"),
-    _Row("C4_6", _S, 2, _sq_gap, lambda v: (v.sp - 2.0 * np.sqrt(v.rp)) * v.w, ("sector",)),
-    _Row("R4_9", _S, 0, lambda v: v.n / v.w, lambda v: (v.M + v.m) / (2.0 * np.sqrt(v.m * v.M)), _SEG),
-    _Row("R4_10", _S, 1, _gap, lambda v: _root_gap(v) / (2.0 * np.sqrt(v.m * v.M)) * v.w, _SEG),
-    _Row("R4_11", _S, 2, _sq_gap, lambda v: _root_gap(v) * v.w, _SEG),
-    _Row("R4_12", _S, 1, _gap, lambda v: 0.25 * (v.M - v.m) ** 2 / (v.M + v.m), _SEG),
+    _Row("T3_2", _D, *_RATIO, ("nonzero",), "center", True),
+    _Row("R3_5", _D, *_SQ_RATIO, ("nonzero",), "center", True),
+    _Row("C3_6", _S, *_RATIO, _SEC, None, True),
+    _Row("C3_7", _S, *_SQ_RATIO, _SEC, None, True),
+    _Row("T4_2", _D, *_WEIGHTED, ("nonzero",), "center"),
+    _Row("C4_6", _S, *_WEIGHTED, ("sector",)),
+    _Row("R4_9", _S, 0, lambda v: v.n / v.w, lambda v: v.a / v.root, _SEG),
+    _Row("R4_10", _S, 1, _gap, lambda v: v.r / (v.a + v.root) * (v.r / v.root) * v.w, _SEG),
+    _Row("R4_11", _S, *_WEIGHTED, _SEG),
+    _Row("R4_12", _S, *_HALF, _SEG),
 )
 _ID_ORDER = {row.iid: k for k, row in enumerate(ROWS)}
 # What an eval_* pick raises for a report that a requirement leaves undefined.
@@ -365,41 +373,38 @@ def _violated(ok, scaled_slack):
 def _scaled(cert, w, norm) -> SimpleNamespace:
     """The operands of cert's rows, times 2^-e with one even e per matrix (v.e).
 
-    2^-e brings the larger of the norm and the certificate's size into
-    [1/4, 1), so no row over- or underflows while the two are within about
-    2^500 of each other, whatever their scale. Each operation scales exactly
-    (for square roots, because e is even): a row's scaled sides are 2^-(d e)
-    times what its formulas give on the unscaled operands. The masks that
-    rows name as requirements or hypotheses are attributes of v too.
+    A sector pair enters as its equivalent disk (see `_Row`). 2^-e brings the
+    largest of the norm, |lambda| and r into [1/4, 1), so no row over- or
+    underflows while they are within about 2^500 of each other, whatever
+    their scale. Each operation scales exactly (for square roots, because e
+    is even): a row's scaled sides are 2^-(d e) times what its formulas give
+    on the unscaled operands. root is formed as sqrt(a - r) sqrt(a + r),
+    without the cancellation of a^2 - r^2 near a = r. The masks that rows
+    name as requirements or hypotheses are attributes of v too.
     """
     disk = isinstance(cert, DiskCertificate)
-    size = max(abs(cert.lam), cert.r) if disk else max(abs(cert.phi), abs(cert.varphi))
-    e = np.frexp(np.maximum(norm, size))[1]
+    lam, r = (cert.lam, cert.r) if disk else (
+        (cert.phi + cert.varphi) / 2.0, abs(cert.phi - cert.varphi) / 2.0)
+    e = np.frexp(np.maximum(norm, max(abs(lam), r)))[1]
     e += e & 1
 
     def s(x):
         return np.ldexp(x, -e)
 
-    v = SimpleNamespace(e=e, w=s(w), n=s(norm), always=np.ones(e.shape, bool))
-    v.nonzero = v.n != 0
+    v = SimpleNamespace(e=e, w=s(w), n=s(norm), a=s(abs(lam)), r=s(r), always=np.ones(e.shape, bool))
+    v.nonzero, v.center = v.n != 0, v.a > v.r
+    v.root = np.sqrt(np.maximum(v.a - v.r, 0.0)) * np.sqrt(v.a + v.r)
     if disk:
-        v.a, v.r = s(abs(cert.lam)), s(cert.r)
         gap = np.abs(v.a - v.w)
         v.coincide = (cert.rho is None) & (gap <= CENTER_COINCIDENCE_TOL * v.a)
-        v.apart, v.center = ~v.coincide, v.a > v.r
-        v.root = np.sqrt(np.maximum(v.a * v.a - v.r * v.r, 0.0))
+        v.apart = ~v.coincide
         v.rho = gap if cert.rho is None else s(cert.rho)
         v.rho_ok = v.rho <= gap + RHO_TOL * v.a
         v.flag = bool(cert.r / abs(cert.lam) <= REFINEMENT_RATIO)
         return v
-    p, q = cert.phi, cert.varphi
-    v.sp, v.sd = s(abs(p + q)), s(abs(p - q))
-    v.rp = s(p.real) * s(q.real) + s(p.imag) * s(q.imag)
-    v.sector = v.rp > 0
     m, M = cert.segment() or (np.nan, np.nan)
-    v.segment = v.always & (0 < m <= M)
-    v.m, v.M = s(m), s(M)
-    v.flag = bool(abs(p - q) <= REFINEMENT_RATIO * abs(p + q))
+    v.sector, v.segment = v.center, v.always & (0 < m <= M)
+    v.flag = bool(abs(cert.phi - cert.varphi) <= REFINEMENT_RATIO * abs(cert.phi + cert.varphi))
     return v
 
 
@@ -615,5 +620,5 @@ def optimize_lambda(t) -> DiskCertificate:
             lam, best = complex(moves[j]), float(mv[j])
         else:
             step *= 0.5
-    lam = complex(np.ldexp(lam.real, e), np.ldexp(lam.imag, e))
+    lam = complex(_ldexp(lam, e))
     return DiskCertificate(lam=lam, r=float(np.ldexp(best + 1e-9, e)))

@@ -100,11 +100,8 @@ def _disk_stack(lam, r, n, seeds) -> np.ndarray:
     # Each generator draws its trial's numbers in the one-trial order.
     rngs = [np.random.default_rng(seed) for seed in seeds]
     c = _unit_norm(np.array([ginibre(n, rng) for rng in rngs]))
-    return _disk_instance(lam, r, c, np.array([rng.uniform() for rng in rngs]))
-
-
-def _disk_instance(lam, r, c, u) -> np.ndarray:
-    return lam * np.eye(c.shape[-1], dtype=complex) + (np.asarray(u) * r)[..., None, None] * c
+    u = np.array([rng.uniform() for rng in rngs])
+    return lam * np.eye(n, dtype=complex) + (u * r)[:, None, None] * c
 
 
 def gen_segment_instance(m, M, n, seed) -> tuple[np.ndarray, SectorPair]:

@@ -101,7 +101,12 @@ def pow2_scaled(a: np.ndarray):
     back unchanged with e = 0.
     """
     e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
-    return np.ldexp(a.real, -e[..., None, None]) + 1j * np.ldexp(a.imag, -e[..., None, None]), e
+    return _ldexp(a, -e[..., None, None]), e
+
+
+def _ldexp(z, e):
+    """z 2^e for complex z, exact in each part and its sign (x + 1j y loses a -0.0 x)."""
+    return np.ldexp(np.stack([np.real(z), np.imag(z)], -1), e[..., None]).view(complex)[..., 0]
 
 
 def _spectral_norms(s: np.ndarray):

@@ -19,6 +19,7 @@ eigenvalue of H(theta) (see `numerical_radius`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -235,9 +236,9 @@ def numerical_radius(a):
     a = _as_stack(a)
     shape, n = a.shape[:-2], a.shape[-1]
     if n == 1:
-        # hypot, not abs: numpy's complex abs rounds one value differently in
-        # contiguous and strided arrays, so a radius would depend on its stack.
-        w = np.hypot(a.real, a.imag).reshape(shape)
+        # math.hypot per entry: it rounds |a11| correctly, where numpy's hypot
+        # and abs can be 1 ulp off (abs by the array's layout, so by its stack).
+        w = np.array([math.hypot(z.real, z.imag) for z in a.ravel().tolist()]).reshape(shape)
         return float(w) if not shape else w
     a, e = pow2_scaled(a.reshape(-1, n, n))
     w = np.zeros(e.shape)

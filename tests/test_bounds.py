@@ -1,5 +1,7 @@
 """Certificate checks, bound evaluators, and their consistency identities."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -577,6 +579,7 @@ def test_stacked_verify_all_equals_one_matrix_at_a_time(n):
         stack = mixed_stack(n, k)
         for cert in STACK_CERTS:
             rows = bound_table(stack, cert)
+            assert not any(np.isnan(e[2:6]).any() for i in range(len(stack)) for e in row_entries(rows, i))
             first = bound_table(stack[:1], cert)
             assert row_entries(first, 0) == row_entries(rows, 0)
             for i, t in enumerate(stack):
@@ -662,6 +665,11 @@ def test_reports_survive_norms_near_the_top_of_the_double_range():
 # ------------------------------------------------------ consistency checks
 
 
+# Each sector row is a disk row's formula on the pair's equivalent disk
+# (see `bounds._Row`): the twins give equal sides, bit for bit.
+TWINS = {"C2_7": "T2_2", "R4_12": "T2_2", "C3_6": "T3_2", "C3_7": "R3_5", "C4_6": "T4_2", "R4_11": "T4_2"}
+
+
 def test_sector_gap_matches_disk_route():
     rng = np.random.default_rng(4)
     for seed in range(10):
@@ -675,8 +683,43 @@ def test_sector_gap_matches_disk_route():
         rep_sector = eval_sector_gap(a2, s2, w=w, norm=nrm)
         rep_disk, _ = eval_disk_bound(a2, sector_to_disk(s2), w=w, norm=nrm)
         assert rep_sector.lhs == rep_disk.lhs
-        assert abs(rep_sector.rhs - rep_disk.rhs) <= 1e-12
+        assert rep_sector.rhs == rep_disk.rhs
         assert rep_sector.hypothesis_ok and rep_disk.hypothesis_ok
+        # Every twin, for the real segment and for the rotated pair.
+        for t, pair, twins in ((a, s, 6), (a2, s2, 4)):
+            reps = {rep.inequality_id: rep for rep in verify_all(t, [pair, sector_to_disk(pair)])}
+            pairs = [(reps[i], reps[TWINS[i]]) for i in TWINS if i in reps]
+            assert len(pairs) == twins
+            for rep, twin in pairs:
+                assert (rep.lhs, rep.rhs, rep.slack) == (twin.lhs, twin.rhs, twin.slack)
+            assert all(rep.hypothesis_ok for rep in reps.values())
+
+
+def test_sector_rows_are_their_disk_twins_at_every_scale():
+    rng = np.random.default_rng(15)
+    for k in (-600, -540, 0, 540, 600):
+        for _ in range(20):
+            t = rand_matrix(rng, 3) * 2.0**k
+            lam, d = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+            pair = SectorPair(phi=(lam + d) * 2.0**k, varphi=(lam - d) * 2.0**k)
+            rows = {b.iid: b for cert in (pair, sector_to_disk(pair)) for b in bound_table(t, cert)}
+            for iid in ("C2_7", "C3_6", "C3_7", "C4_6"):
+                twin = rows[TWINS[iid]]
+                for side in ("lhs", "rhs", "slack", "scaled_slack"):
+                    assert getattr(rows[iid], side).tobytes() == getattr(twin, side).tobytes()
+
+
+def test_root_is_accurate_where_a_meets_r():
+    # sqrt(a^2 - r^2) lost up to 2.8e-5 of these roots to cancellation as r/a -> 1.
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for a, gap in zip(rng.uniform(0.5, 2.0, 500), 10.0 ** rng.uniform(-12.0, -2.0, 500)):
+            v = bounds._scaled(DiskCertificate(a, a * (1.0 - gap)), np.array([0.5]), np.array([1.0]))
+            exact = (Decimal(v.a[0]) ** 2 - Decimal(v.r[0]) ** 2).sqrt()
+            worst = max(worst, float(abs(Decimal(v.root[0]) - exact) / exact))
+    assert worst <= 4 * np.finfo(float).eps
 
 
 def test_sector_disk_identity():

@@ -20,7 +20,6 @@ from numrad.extremal import (
     _CHUNK,
     _LAMBDA_GRID,
     SearchResult,
-    _disk_instance,
     _disk_stack,
     _ginibre_stack,
     _nilpotent_stack,
@@ -95,11 +94,23 @@ def test_disk_instance_passes_check():
         assert measured <= 0.7 + 1e-9
 
 
-def test_disk_instance_with_zero_mix_is_scalar():
-    rng = np.random.default_rng(3)
-    c = ginibre(3, rng)
-    c /= operator_norm(c)
-    t = _disk_instance(2.0 + 0j, 0.5, c, 0.0)
+def test_disk_instance_with_zero_mix_is_scalar(monkeypatch):
+    default_rng = np.random.default_rng
+
+    class ZeroMix:
+        """A generator whose mix u = uniform() is 0; its Ginibre draws are seed 3's."""
+
+        def __init__(self, seed):
+            self.rng = default_rng(3)
+
+        def standard_normal(self, shape):
+            return self.rng.standard_normal(shape)
+
+        def uniform(self):
+            return 0.0
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroMix)
+    t, _ = gen_disk_instance(2.0 + 0j, 0.5, 3, 0)
     assert np.array_equal(t, 2.0 * np.eye(3))
 
 

@@ -13,7 +13,9 @@ every digest, so on another stack the test is skipped and says which
 versions it found. A PR that changes an output on purpose updates the digest
 here in the same commit and says in CHANGES.md which outputs moved and why.
 
-Regenerate the table with `PYTHONPATH=src python tests/test_golden.py`.
+Regenerate the table with `PYTHONPATH=src python tests/test_golden.py`. It
+marks with `# moved` each entry whose digest differs from `DIGESTS`, so the
+outputs that a change moved can be named without diffing the table.
 """
 
 import contextlib
@@ -45,16 +47,19 @@ DENSE_INPUTS = 8
 # The sweep and search digests were made from the tree at commit dce304c,
 # the compute and verify digests at commit 640a50d. The bound table moved one
 # value: the C2_13 median_slack of the disk n = 2 sweep, by 8 ulp (its norm^2
-# - w^2 now squares with x * x, not the C pow of a Python float).
+# - w^2 now squares with x * x, not the C pow of a Python float). Evaluating
+# the sector rows on the pair's equivalent disk moved the two segment sweeps
+# (C4_6, R4_10 and R4_11 slacks) and the eight verify runs (C3_6 and C4_6,
+# and on m7 the disk's T3_2 and T4_2), each value by at most 4.5e-16.
 DIGESTS = {
     "sweep --ensemble=disk --n=2 --trials=65 --seed=11 --lambda=1,0.5 --r=0.4":
         "c1adb090f3e1dbeff0c36da45a85fb2227cb67be8ef0774a4744d0b2faf6c07c",
     "sweep --ensemble=disk --n=4 --trials=65 --seed=11 --lambda=1,0.5 --r=0.4":
         "2f0d20f3c60b245ec3b285689855910314874a9967e8458ab3d0b72e7271e1d2",
     "sweep --ensemble=segment --n=2 --trials=65 --seed=11 --m=1 --M=3":
-        "06ab276927016090c570b0533f8b9b91c43c992fe7151b069d6abb13ba3ee88d",
+        "c94751ca6bd6bb41b1d5679ec8f674b21f0d2287a51a1381c375600af9ba6951",
     "sweep --ensemble=segment --n=4 --trials=65 --seed=11 --m=1 --M=3":
-        "1f505556bbc4e265bf6cf2069e2e74d2fc72bc37847a0f803c66286939e49251",
+        "1f160834c66de24cae9ed9f8eb74e33759cdf83a53cbd2c357cbe9a8b1aef610",
     "sweep --ensemble=ginibre --n=2 --trials=65 --seed=11 --lambda=0.5,0 --r=1.2":
         "671f144f6c55f2928a9291891f35fb374f066d53bfce8979577e2ef64b83cc5d",
     "sweep --ensemble=ginibre --n=4 --trials=65 --seed=11 --lambda=0.5,0 --r=1.2":
@@ -78,35 +83,35 @@ DIGESTS = {
     "compute m0.json --out=m0.csv":
         "12b6e1a754335e73b8f4e34770852cc4fc0e3136e53995bb3dfe3f1a38bf45a9",
     "verify m0.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "0304655826a4bc371158af210af8125fac7aaa85d134b5c925c4faccbdd58c28",
+        "4d899f0d362d984b909ff7b33fe15de0cada5d20e4546ccd6755acb058e090ce",
     "compute m1.json --out=m1.csv":
         "420ab1aaf0ba1c916ab7c2bab13ee645c7089ef94c2440c23bd85e70e90ab3a5",
     "verify m1.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "7981fb9042c677d17e32e9f3ba500d066437f7fd4b3259f23def3219c1442797",
+        "131777368c4758528a1d038bfae25a210ac9691e39d5d7b35c723c8d625d9a87",
     "compute m2.json --out=m2.csv":
         "c2f499f2d6eeb40e207d67533320fe00f5e91dc181322f0cf9dee06f4b04b5af",
     "verify m2.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "c728cc15c55752aafd762a165e2a1e329eba5f7542d6721cd92b3b298555ced1",
+        "0c56aafa8ef16a27b28d8b1d2c164c4bf12e4d56b2f1d759459ed79096b83b8c",
     "compute m3.json --out=m3.csv":
         "340951a0a7be66402524e1f97eaa8c13e0d873390fdf385dcdcba1b513415552",
     "verify m3.json --auto --phi=0.08384354252077744,-1.625013338905604 --varphi=-0.3364543909257569,-1.0689095244766018":
-        "2ce6905c9ccdd9ac1f58c38ab97de062ef539684067b48e1bc982b969c52c8a6",
+        "043a8efc13838d5ad37ae4f2c574acc09a8ee8fd6bd192d87f04203d9749c929",
     "compute m4.json --out=m4.csv":
         "d7a06af9f8ce4d300475bfd78d26309a27a814fd826e99c0cade52853e5673b1",
     "verify m4.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "3d21c95ce8d6d722e8a65f6e80cf4124b8cb33440edca19658efd367a1cc7076",
+        "2fa2419ab74d7dc224d56c4ec1ddc5eeffab2e5b417c5163560a3075d4e8e295",
     "compute m5.json --out=m5.csv":
         "eb28afcbf05e3d243bdd228f8738207b2d7b7959357c6a60b34ad8efc3034a1c",
     "verify m5.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "da1b4b0220182f714c776c9f7310d71c50a4ffe92412f4f9567c1a14311d6c34",
+        "ee7ddaa8da186b4f19a1c7629c22a19fd81124ac2328d2e09efa3e05357f00c7",
     "compute m6.json --out=m6.csv":
         "7d800f1b19faccd693d0877dd27f135d6b04d7a428a49b6676c5a3851191fc16",
     "verify m6.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "f5f674794269a06b08febf28b291a72b2e437e3becbc8d4b091657b6c79377c6",
+        "b6dc34f2927e8ce575212a58e02bb781b776326cfd8e28a4ae98e13034cc509b",
     "compute m7.json --out=m7.csv":
         "3d271582380e815bab5d2b647d75531a61edce2d36af4197c8a0c14ef4718547",
     "verify m7.json --auto --phi=1.458915616945347,0.9909825649257914 --varphi=1.9143181327538223,0.8003938304268118":
-        "d4e08de39f7f575fa9dc635e6e74585e4291a7d922cab8f9236f1eba44b1c7db",
+        "28de09c7cf28c80f62fd5872a5899b6d631d58d5fd6c2dda379a7e40f8b35126",
 }
 
 
@@ -192,4 +197,6 @@ if __name__ == "__main__":
         write_dense_inputs(Path(directory))
         os.chdir(directory)
         for argv in golden_argvs():
-            print(f'    "{" ".join(argv)}":\n        "{digest(argv)}",')
+            key, value = " ".join(argv), digest(argv)
+            moved = "  # moved" if DIGESTS.get(key) != value else ""
+            print(f'    "{key}":\n        "{value}",{moved}')

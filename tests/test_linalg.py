@@ -10,9 +10,10 @@ from numrad.linalg import (
     as_matrix,
     hermitian_eigen,
     operator_norm,
+    pow2_scaled,
     shifted_norms,
 )
-from numrad.linalg import _spectral_norms
+from numrad.linalg import _ldexp, _spectral_norms
 from numrad.numrange import numerical_radius
 
 
@@ -216,3 +217,15 @@ def test_stacked_norms_scale_each_matrix_on_its_own():
             alone = [operator_norm(m) for m in stack]
             assert norms.tolist() == alone
             assert alone[1] == alone[0] * 2.0**k
+
+
+def test_pow2_scaling_is_exact_in_the_sign_of_zero():
+    # x + 1j y turns a -0.0 real part into +0.0; each part is scaled on its own.
+    a = np.array([[complex(-0.0, 1.0), complex(-0.0, -0.0)], [complex(1.0, -0.0), 2.0]])
+    scaled, e = pow2_scaled(a)
+    assert e == 2
+    assert scaled.tolist() == (a / 4).tolist()
+    assert np.array_equal(np.signbit(scaled.real), np.signbit(a.real))
+    assert np.array_equal(np.signbit(scaled.imag), np.signbit(a.imag))
+    back = _ldexp(scaled, np.full((2, 2), e))
+    assert np.array_equal(np.signbit(back.view(float)), np.signbit(a.view(float)))
