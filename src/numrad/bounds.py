@@ -60,10 +60,12 @@ The sector and segment rows are evaluated on the pair's equivalent disk,
 |lambda| = |phi + varphi|/2 and r = |phi - varphi|/2, where
 Re(phi conj(varphi)) = |lambda|^2 - r^2 and, for a segment, M + m = 2|lambda|,
 M - m = 2r and sqrt(mM) = sqrt(|lambda|^2 - r^2). So each is one of 9
-formulas over the operands w, norm, |lambda|, r, sqrt(|lambda|^2 - r^2) and
-rho, and twins agree bit for bit: C2_7 and R4_12 are T2_2, C3_6 is T3_2,
-C3_7 is R3_5, and C4_6 and R4_11 are T4_2. Re(phi conj(varphi)) > 0 is
-tested as |lambda| > r.
+formulas over the operands w, norm, |lambda|, r, root = sqrt(|lambda|^2 - r^2)
+and rho: C2_7 and R4_12 are T2_2, C3_6 is T3_2, C3_7 is R3_5, and C4_6 and
+R4_11 are T4_2. A pair's root is sqrt(Re(phi conj(varphi))), taken from the
+endpoints, because |lambda| - r cancels when |varphi| << |phi|; so a pair's
+twins agree bit for bit, and a pair and its `sector_to_disk` disk agree bit
+for bit on C2_7, R4_12 and C3_7 and to rounding on C3_6, C4_6 and R4_11.
 """
 
 from __future__ import annotations
@@ -309,11 +311,11 @@ def check_sector_hypothesis(a, s: SectorPair):
 # (see `_scaled`) and homogeneous of degree d in the matrix. The operands are
 # w and n (the norm), a = |lambda|, r, root = sqrt(a^2 - r^2) and, for a disk,
 # rho. A sector pair enters as its equivalent disk, a = |phi + varphi|/2 and
-# r = |phi - varphi|/2, so Re(phi conj(varphi)) = a^2 - r^2, and for a segment
-# M + m = 2a, M - m = 2r and sqrt(mM) = root: each sector row is a disk row's
-# formula. needs names the requirements that define a report, hyp the
-# hypothesis added to the certificate check, flag whether the report carries
-# the refinement flag.
+# r = |phi - varphi|/2 and root = sqrt(Re(phi conj(varphi))), which is
+# sqrt(a^2 - r^2); for a segment M + m = 2a, M - m = 2r and sqrt(mM) = root.
+# So each sector row is a disk row's formula. needs names the requirements
+# that define a report, hyp the hypothesis added to the certificate check,
+# flag whether the report carries the refinement flag.
 _Row = namedtuple("_Row", "iid kind d lhs rhs needs hyp flag", defaults=((), None, False))
 
 
@@ -378,9 +380,11 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
     underflows while they are within about 2^500 of each other, whatever
     their scale. Each operation scales exactly (for square roots, because e
     is even): a row's scaled sides are 2^-(d e) times what its formulas give
-    on the unscaled operands. root is formed as sqrt(a - r) sqrt(a + r),
-    without the cancellation of a^2 - r^2 near a = r. The masks that rows
-    name as requirements or hypotheses are attributes of v too.
+    on the unscaled operands. A disk's root is sqrt(a - r) sqrt(a + r),
+    without the cancellation of a^2 - r^2 near a = r; a pair's is
+    sqrt(Re(phi conj(varphi))) from the endpoints, whose a and r are already
+    rounded, and sector is Re(phi conj(varphi)) > 0. The masks that rows name
+    as requirements or hypotheses are attributes of v too.
     """
     disk = isinstance(cert, DiskCertificate)
     lam, r = (cert.lam, cert.r) if disk else (
@@ -393,8 +397,8 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
 
     v = SimpleNamespace(e=e, w=s(w), n=s(norm), a=s(abs(lam)), r=s(r), always=np.ones(e.shape, bool))
     v.nonzero, v.center = v.n != 0, v.a > v.r
-    v.root = np.sqrt(np.maximum(v.a - v.r, 0.0)) * np.sqrt(v.a + v.r)
     if disk:
+        v.root = np.sqrt(np.maximum(v.a - v.r, 0.0)) * np.sqrt(v.a + v.r)
         gap = np.abs(v.a - v.w)
         v.coincide = (cert.rho is None) & (gap <= CENTER_COINCIDENCE_TOL * v.a)
         v.apart = ~v.coincide
@@ -402,9 +406,12 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
         v.rho_ok = v.rho <= gap + RHO_TOL * v.a
         v.flag = bool(cert.r / abs(cert.lam) <= REFINEMENT_RATIO)
         return v
+    p, q = cert.phi, cert.varphi
+    rp = s(p.real) * s(q.real) + s(p.imag) * s(q.imag)
+    v.sector, v.root = rp > 0, np.sqrt(np.maximum(rp, 0.0))
     m, M = cert.segment() or (np.nan, np.nan)
-    v.sector, v.segment = v.center, v.always & (0 < m <= M)
-    v.flag = bool(abs(cert.phi - cert.varphi) <= REFINEMENT_RATIO * abs(cert.phi + cert.varphi))
+    v.segment = v.always & (0 < m <= M)
+    v.flag = bool(abs(p - q) <= REFINEMENT_RATIO * abs(p + q))
     return v
 
 

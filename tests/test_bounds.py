@@ -666,8 +666,16 @@ def test_reports_survive_norms_near_the_top_of_the_double_range():
 
 
 # Each sector row is a disk row's formula on the pair's equivalent disk
-# (see `bounds._Row`): the twins give equal sides, bit for bit.
+# (see `bounds._Row`). A pair's root comes from Re(phi conj(varphi)) and its
+# disk's from the rounded a and r, so the twins that read it (ROOT_TWINS)
+# agree to rounding, scaled by the condition of a - r; the others bit for bit.
 TWINS = {"C2_7": "T2_2", "R4_12": "T2_2", "C3_6": "T3_2", "C3_7": "R3_5", "C4_6": "T4_2", "R4_11": "T4_2"}
+ROOT_TWINS = {"C3_6", "C4_6", "R4_11"}
+
+
+def root_rtol(pair):
+    a, r = abs(pair.phi + pair.varphi), abs(pair.phi - pair.varphi)
+    return 8 * np.finfo(float).eps * (a + r) / abs(a - r)
 
 
 def test_sector_gap_matches_disk_route():
@@ -691,22 +699,39 @@ def test_sector_gap_matches_disk_route():
             pairs = [(reps[i], reps[TWINS[i]]) for i in TWINS if i in reps]
             assert len(pairs) == twins
             for rep, twin in pairs:
-                assert (rep.lhs, rep.rhs, rep.slack) == (twin.lhs, twin.rhs, twin.slack)
+                if rep.inequality_id in ROOT_TWINS:
+                    tol = root_rtol(pair) * max(abs(rep.lhs), abs(rep.rhs))
+                    assert all(abs(x - y) <= tol for x, y in zip(
+                        (rep.lhs, rep.rhs, rep.slack), (twin.lhs, twin.rhs, twin.slack)))
+                else:
+                    assert (rep.lhs, rep.rhs, rep.slack) == (twin.lhs, twin.rhs, twin.slack)
             assert all(rep.hypothesis_ok for rep in reps.values())
+            if pair is s:  # a pair's own twins read one root: bit for bit
+                for i, j in (("R4_12", "C2_7"), ("R4_11", "C4_6")):
+                    assert (reps[i].lhs, reps[i].rhs, reps[i].slack) == (reps[j].lhs, reps[j].rhs, reps[j].slack)
 
 
 def test_sector_rows_are_their_disk_twins_at_every_scale():
     rng = np.random.default_rng(15)
-    for k in (-600, -540, 0, 540, 600):
-        for _ in range(20):
-            t = rand_matrix(rng, 3) * 2.0**k
-            lam, d = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+    for _ in range(20):
+        t = rand_matrix(rng, 3)
+        lam, d = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+        first = None
+        for k in (0, -600, -540, 540, 600):
             pair = SectorPair(phi=(lam + d) * 2.0**k, varphi=(lam - d) * 2.0**k)
-            rows = {b.iid: b for cert in (pair, sector_to_disk(pair)) for b in bound_table(t, cert)}
-            for iid in ("C2_7", "C3_6", "C3_7", "C4_6"):
-                twin = rows[TWINS[iid]]
+            rows = {b.iid: b for cert in (pair, sector_to_disk(pair)) for b in bound_table(t * 2.0**k, cert)}
+            for iid in ("C2_7", "C3_7"):
                 for side in ("lhs", "rhs", "slack", "scaled_slack"):
-                    assert getattr(rows[iid], side).tobytes() == getattr(twin, side).tobytes()
+                    assert getattr(rows[iid], side).tobytes() == getattr(rows[TWINS[iid]], side).tobytes()
+            for iid in ("C3_6", "C4_6") if k == 0 else ():
+                one, twin = rows[iid], rows[TWINS[iid]]
+                tol = root_rtol(pair) * np.maximum(abs(one.lhs), abs(one.rhs))
+                for side in ("lhs", "rhs", "slack"):
+                    assert abs(getattr(one, side) - getattr(twin, side)) <= tol
+            # 2^k scales every operand exactly, so no scaled slack moves: the
+            # twins at 2^k are the twins at 2^0, with no over- or underflow.
+            slacks = {iid: b.scaled_slack.tobytes() for iid, b in rows.items()}
+            assert slacks == (first := first or slacks)
 
 
 def test_root_is_accurate_where_a_meets_r():
@@ -720,6 +745,33 @@ def test_root_is_accurate_where_a_meets_r():
             exact = (Decimal(v.a[0]) ** 2 - Decimal(v.r[0]) ** 2).sqrt()
             worst = max(worst, float(abs(Decimal(v.root[0]) - exact) / exact))
     assert worst <= 4 * np.finfo(float).eps
+
+
+def test_a_segment_root_is_sqrt_mM_for_any_m_over_M():
+    # From a = (M + m)/2 and r = (M - m)/2, a - r loses about eps M/m of m;
+    # the pair's root is sqrt(mM), to 1 eps against a 60-digit square root.
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for big, ratio in zip(rng.uniform(0.5, 4.0, 300), 10.0 ** -rng.uniform(0.0, 17.0, 300)):
+            m, M = big * ratio, big
+            v = bounds._scaled(SectorPair.from_segment(m, M), np.array([0.5 * M]), np.array([M]))
+            exact = (Decimal(m) * Decimal(M)).sqrt() / Decimal(2) ** int(v.e[0])
+            assert v.sector[0] and abs(Decimal(v.root[0]) - exact) <= Decimal(eps) * exact
+            r4_9 = (Decimal(M) + Decimal(m)) / (2 * (Decimal(m) * Decimal(M)).sqrt())
+            assert abs(Decimal(v.a[0] / v.root[0]) - r4_9) <= Decimal(4 * eps) * r4_9
+
+
+def test_a_segment_far_below_its_top_keeps_its_sector_rows():
+    # m = 1e-17 next to M = 1 rounds a and r to one value; the rows still read
+    # the sector from m M > 0 and R4_9's rhs is (M + m) / (2 sqrt(mM)).
+    t = np.diag([1e-17, 1.0]).astype(complex)
+    reps = {rep.inequality_id: rep for rep in verify_all(t, [SectorPair.from_segment(1e-17, 1.0)])}
+    assert {"C3_6", "C3_7", "C4_6", "R4_9", "R4_10", "R4_11"} <= reps.keys()
+    assert reps["R4_9"].rhs == pytest.approx(0.5 / np.sqrt(1e-17), rel=1e-15)
+    assert reps["C3_6"].lhs == pytest.approx(2 * np.sqrt(1e-17), rel=1e-15)
+    assert all(rep.hypothesis_ok and not rep.violated for rep in reps.values())
 
 
 def test_sector_disk_identity():

@@ -94,23 +94,16 @@ def test_disk_instance_passes_check():
         assert measured <= 0.7 + 1e-9
 
 
+class ZeroMix(np.random.Generator):
+    """A seed's generator whose mix u = uniform() is 0."""
+
+    def uniform(self):
+        return 0.0
+
+
 def test_disk_instance_with_zero_mix_is_scalar(monkeypatch):
-    default_rng = np.random.default_rng
-
-    class ZeroMix:
-        """A generator whose mix u = uniform() is 0; its Ginibre draws are seed 3's."""
-
-        def __init__(self, seed):
-            self.rng = default_rng(3)
-
-        def standard_normal(self, shape):
-            return self.rng.standard_normal(shape)
-
-        def uniform(self):
-            return 0.0
-
-    monkeypatch.setattr(np.random, "default_rng", ZeroMix)
-    t, _ = gen_disk_instance(2.0 + 0j, 0.5, 3, 0)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroMix(np.random.PCG64(seed)))
+    t, _ = gen_disk_instance(2.0 + 0j, 0.5, 3, 3)
     assert np.array_equal(t, 2.0 * np.eye(3))
 
 

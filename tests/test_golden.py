@@ -49,8 +49,8 @@ DENSE_INPUTS = 8
 # value: the C2_13 median_slack of the disk n = 2 sweep, by 8 ulp (its norm^2
 # - w^2 now squares with x * x, not the C pow of a Python float). Evaluating
 # the sector rows on the pair's equivalent disk moved the two segment sweeps
-# (C4_6, R4_10 and R4_11 slacks) and the eight verify runs (C3_6 and C4_6,
-# and on m7 the disk's T3_2 and T4_2), each value by at most 4.5e-16.
+# (C4_6, R4_10 and R4_11 slacks) and the eight verify runs (C4_6, and on m7
+# the disk's T3_2 and T4_2), each value by at most 4.5e-16.
 DIGESTS = {
     "sweep --ensemble=disk --n=2 --trials=65 --seed=11 --lambda=1,0.5 --r=0.4":
         "c1adb090f3e1dbeff0c36da45a85fb2227cb67be8ef0774a4744d0b2faf6c07c",
@@ -83,15 +83,15 @@ DIGESTS = {
     "compute m0.json --out=m0.csv":
         "12b6e1a754335e73b8f4e34770852cc4fc0e3136e53995bb3dfe3f1a38bf45a9",
     "verify m0.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "4d899f0d362d984b909ff7b33fe15de0cada5d20e4546ccd6755acb058e090ce",
+        "07a2b76470c37535086195449013dcd8500f5065e115ace968e08d117353ece4",
     "compute m1.json --out=m1.csv":
         "420ab1aaf0ba1c916ab7c2bab13ee645c7089ef94c2440c23bd85e70e90ab3a5",
     "verify m1.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "131777368c4758528a1d038bfae25a210ac9691e39d5d7b35c723c8d625d9a87",
+        "62cad7ee1481f38d7ad70ecc7ba085c6d286b6fc8a2f06a3ba71b153bb453ca3",
     "compute m2.json --out=m2.csv":
         "c2f499f2d6eeb40e207d67533320fe00f5e91dc181322f0cf9dee06f4b04b5af",
     "verify m2.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "0c56aafa8ef16a27b28d8b1d2c164c4bf12e4d56b2f1d759459ed79096b83b8c",
+        "6fee312d17d0b7c710c242ef4629661cf9ebafc753bd6aa89a09b33d3f7eab42",
     "compute m3.json --out=m3.csv":
         "340951a0a7be66402524e1f97eaa8c13e0d873390fdf385dcdcba1b513415552",
     "verify m3.json --auto --phi=0.08384354252077744,-1.625013338905604 --varphi=-0.3364543909257569,-1.0689095244766018":
@@ -99,15 +99,15 @@ DIGESTS = {
     "compute m4.json --out=m4.csv":
         "d7a06af9f8ce4d300475bfd78d26309a27a814fd826e99c0cade52853e5673b1",
     "verify m4.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "2fa2419ab74d7dc224d56c4ec1ddc5eeffab2e5b417c5163560a3075d4e8e295",
+        "f36eb8300e7a59566a73e52672b503b80f033841127313bda58700afaa58db08",
     "compute m5.json --out=m5.csv":
         "eb28afcbf05e3d243bdd228f8738207b2d7b7959357c6a60b34ad8efc3034a1c",
     "verify m5.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "ee7ddaa8da186b4f19a1c7629c22a19fd81124ac2328d2e09efa3e05357f00c7",
+        "44699d22600cd9a819a1f6bf7ab2f9e7f15c3f6045cfed0d28b797b746bb198c",
     "compute m6.json --out=m6.csv":
         "7d800f1b19faccd693d0877dd27f135d6b04d7a428a49b6676c5a3851191fc16",
     "verify m6.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "b6dc34f2927e8ce575212a58e02bb781b776326cfd8e28a4ae98e13034cc509b",
+        "854bf246f53b38d7e5b7dcc8e22380ff614f52d164a65a216cbd23eabcf47b78",
     "compute m7.json --out=m7.csv":
         "3d271582380e815bab5d2b647d75531a61edce2d36af4197c8a0c14ef4718547",
     "verify m7.json --auto --phi=1.458915616945347,0.9909825649257914 --varphi=1.9143181327538223,0.8003938304268118":
