@@ -291,13 +291,16 @@ def check_sector_hypothesis(a, s: SectorPair):
     U and d are formed from A, phi and varphi times the power of two per
     matrix that brings the largest of max|a_ij|, |phi| and |varphi| into
     [1/2, 1), and the minimum eigenvalue is scaled back (to +-inf beyond the
-    double range): the verdict is the same at any scale.
+    double range): the verdict is the same at any scale. |d| is
+    |phi/2 - varphi/2| times that power of two: the radius of `sector_to_disk`,
+    so a pair and its disk are compared against one value, but finite where
+    phi - varphi overflows.
     """
     a = _as_stack(a)
     e = np.frexp(np.maximum(np.abs(a).max(axis=(-2, -1)), max(abs(s.phi), abs(s.varphi))))[1]
     a, phi, varphi = (_ldexp(z, -e[..., None, None]) for z in (a, s.phi, s.varphi))
     u, d = a - 0.5 * (phi + varphi) * np.eye(a.shape[-1]), 0.5 * (phi - varphi)
-    norm, r = _spectral_norms(u), np.abs(d)[..., 0, 0]
+    norm, r = _spectral_norms(u), np.ldexp(abs(s.phi / 2.0 - s.varphi / 2.0), -e)
     ok = norm <= r * (1.0 + DISK_TOL)
     if s.mode == OPERATOR_ORDER:
         du = np.conj(d) * u
@@ -415,9 +418,10 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
     return v
 
 
-def _evaluate(t, cert, w, norm):
+def _evaluate(t, cert, w, norm, ids=None):
     """(check, bounds): cert's check on the stack t (B, n, n) as (ok, value)
-    arrays, and its rows of the table; w and norm are the stack's radii and norms."""
+    arrays, and its rows of the table, or only those under ids when given;
+    w and norm are the stack's radii and norms."""
     if isinstance(cert, DiskCertificate):
         check = check_disk(t, cert)
     elif not isinstance(cert, SectorPair):
@@ -430,7 +434,7 @@ def _evaluate(t, cert, w, norm):
     bounds = []
     with np.errstate(all="ignore"):  # rows that a requirement leaves undefined may divide by 0
         for row in ROWS:
-            if isinstance(cert, row.kind):
+            if isinstance(cert, row.kind) and (ids is None or row.iid in ids):
                 needs = {name: getattr(v, name) for name in row.needs}
                 defined = functools.reduce(np.logical_and, needs.values(), v.always)
                 hyp = getattr(v, row.hyp or "always")
@@ -492,11 +496,11 @@ def _pick(t, cert, w, norm, *ids):
     t = as_matrix(t)
     w = np.array([numerical_radius(t) if w is None else w], dtype=float)
     norm = np.array([operator_norm(t) if norm is None else norm], dtype=float)
-    check, bounds = _evaluate(t[None], cert, w, norm)
-    for b in (b for b in bounds if b.iid in ids):
+    check, bounds = _evaluate(t[None], cert, w, norm, ids)
+    for b in bounds:
         for exc in (_UNDEFINED[name] for name, mask in b.needs.items() if not mask[0]):
             raise exc(f"{b.iid}: {exc.__doc__}")
-    found = [rep for rep in _reports(cert, check, bounds, 0, w[0], norm[0]) if rep.inequality_id in ids]
+    found = _reports(cert, check, bounds, 0, w[0], norm[0])
     return found[0] if len(found) == 1 else tuple(found)
 
 

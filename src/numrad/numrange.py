@@ -299,50 +299,29 @@ def _top(vals: np.ndarray, k: int) -> np.ndarray:
 def _ascend(a: np.ndarray, x: np.ndarray, steps: int) -> float:
     """Largest |<Ax, x>| met in `steps` monotone ascent steps from each row of x.
 
-    One step at a unit vector x with q = <Ax, x>: rotate the phase by
-    u = exp(-i arg q), which is conj(q)/|q| and still a unit number when
-    q = 0, so that H = (uA + conj(u)A*)/2 has <Hx, x> = |q|. Then move x to
-    the Rayleigh-Ritz maximiser of H on span{x, g}, g = Hx - <Hx, x>x the
-    tangent gradient. The span holds x, so |<Ax', x'>| >= <Hx', x'> >= |q|.
-    A row whose g or whose new vector is exactly zero stays where it is.
+    One Rayleigh-Ritz step at a unit vector x with q = <Ax, x>: rotate the
+    phase by u = exp(-i arg q), which is conj(q)/|q| and still a unit number
+    when q = 0, so that H = (uA + conj(u)A*)/2 has <Hx, x> = |q|. Then move x
+    to V z, where V is the orthonormal QR factor of [x, Hx] and z the top
+    eigenvector of the 2x2 Hermitian V* H V, from one batched `eigh` over
+    the rows. The span of V holds x, so |<Ax', x'>| >= <Hx', x'> >= |q|. QR
+    gives an orthonormal V even when Hx is parallel to x, so a zero gradient
+    needs no special case.
 
     The steps run on A scaled by a power of two to a largest entry in
-    [1/2, 1): that is exact, and no norm below can over- or underflow.
+    [1/2, 1): that is exact, and nothing below can over- or underflow.
     """
     a, e = pow2_scaled(a)
-
-    def dot(y, z):
-        return np.einsum("bi,bi->b", y.conj(), z)
-
-    def unit(y):
-        yn = np.linalg.norm(y, axis=1)
-        return y / np.where(yn > 0, yn, 1.0)[:, None], yn > 0
-
-    def herm(u, y, ay):
-        return 0.5 * (u * ay + u.conj() * (y @ a.conj()))
-
     best = 0.0
     for _ in range(steps):
-        ax = x @ a.T
-        q = dot(x, ax)
+        q = np.einsum("bi,bi->b", x.conj(), x @ a.T)
         best = max(best, float(np.abs(q).max()))
-        u = np.exp(-1j * np.angle(q))[:, None]
-        hx = herm(u, x, ax)
-        h = dot(x, hx).real
-        p, moving = unit(hx - h[:, None] * x)
-        hp = herm(u, p, p @ a.T)
-        # Top eigenvector of the 2x2 Hermitian [[h, b], [conj(b), d]], from
-        # the row that avoids cancellation.
-        b = dot(x, hp)
-        d = dot(p, hp).real
-        half = 0.5 * (h - d)
-        r = np.hypot(half, np.abs(b))
-        upper = half >= 0
-        c0 = np.where(upper, half + r, b)
-        c1 = np.where(upper, b.conj(), r - half)
-        y, nonzero = unit(c0[:, None] * x + c1[:, None] * p)
-        x = np.where((moving & nonzero)[:, None], y, x)
-    best = max(best, float(np.abs(dot(x, x @ a.T)).max()))
+        u = np.exp(-1j * np.angle(q))[:, None, None]
+        h = 0.5 * (u * a + u.conj() * a.conj().T)
+        v = np.linalg.qr(np.stack([x, (h @ x[..., None])[..., 0]], axis=-1))[0]
+        z = np.linalg.eigh(v.conj().swapaxes(-1, -2) @ h @ v)[1][..., -1:]
+        x = (v @ z)[..., 0]
+    best = max(best, float(np.abs(np.einsum("bi,bi->b", x.conj(), x @ a.T)).max()))
     return float(np.ldexp(best, e))
 
 
@@ -350,15 +329,17 @@ def numerical_radius_oracle(a, samples: int, seed: int) -> float:
     """Sampling lower bound on w(A): max |<Ax, x>| over random unit vectors,
     the best of them refined by a few ascent steps.
 
-    Vectors are standard complex Gaussians normalized to the unit sphere
-    (uniform on the sphere), drawn from numpy's seeded PCG64 generator. The
-    chunk size is a fixed constant, so the draw stream and the result depend
-    only on (a, samples, seed). The best 4 draws (_ORACLE_STARTS; ties go to
-    the earlier draw) then take 2 (_ORACLE_STEPS) monotone ascent steps of
-    |<Ax, x>| on the unit sphere (see `_ascend`). The steps use only
-    products with A and A* and a 2x2 Hermitian problem per step. They are
-    few and fixed, so the value stays a sample statistic that depends on
-    the seed.
+    Vectors are standard complex Gaussians, whose directions are uniform on
+    the unit sphere, drawn from numpy's seeded PCG64 generator. Each draw x
+    is scored by its Rayleigh quotient |<Ax, x>| / <x, x>, so only the kept
+    draws are normalized. The chunk size is a fixed constant, so the draw
+    stream and the result depend only on (a, samples, seed). The best 4
+    draws (_ORACLE_STARTS; ties go to the earlier draw) then take 2
+    (_ORACLE_STEPS) monotone ascent steps of |<Ax, x>| on the unit sphere
+    (see `_ascend`). Each step takes products with A and A*, a QR of two
+    columns and a 2x2 Hermitian `eigh` per start, never an n x n
+    eigenproblem. The steps are few and fixed, so the value stays a sample
+    statistic that depends on the seed.
 
     The value is the largest |<Ax, x>| met, never below the best draw's.
     Each x is an explicit unit vector and |<Ax, x>| <= w(A) pointwise, so
@@ -376,11 +357,11 @@ def numerical_radius_oracle(a, samples: int, seed: int) -> float:
         m = min(_ORACLE_CHUNK, left)
         left -= m
         x = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        vals = np.abs(np.einsum("bi,ij,bj->b", x.conj(), a, x))
+        norm2 = np.einsum("bi,bi->b", x.conj(), x).real
+        vals = np.abs(np.einsum("bi,bi->b", x.conj(), x @ a.T)) / norm2
         top = _top(vals, _ORACLE_STARTS)
         kept_vals.append(vals[top])
-        kept_x.append(x[top])
+        kept_x.append(x[top] / np.sqrt(norm2[top])[:, None])
     kept = np.concatenate(kept_vals)
     starts = np.concatenate(kept_x)[_top(kept, _ORACLE_STARTS)]
     return max(float(kept.max()), _ascend(a, starts, _ORACLE_STEPS))

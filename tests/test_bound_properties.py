@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from numrad.bounds import (ACCRETIVE, DiskCertificate, SectorPair, bound_table, check_disk,
+from numrad.bounds import (ACCRETIVE, DISK_TOL, DiskCertificate, SectorPair, bound_table, check_disk,
                            check_sector_hypothesis, sector_to_disk, verify_all)
 from numrad.extremal import gen_disk_instance, gen_segment_instance, ginibre, random_unitary
 from numrad.linalg import operator_norm
@@ -125,3 +125,17 @@ def test_a_sector_pair_and_its_disk_get_one_verdict(n, seed, lam, d, angle, log_
     t = s * (disk.lam * np.eye(n) + rel * disk.r * (g / operator_norm(g)))
     pair = SectorPair(s * pair.phi, s * pair.varphi, ACCRETIVE)
     assert check_sector_hypothesis(t, pair)[0] == check_disk(t, sector_to_disk(pair))[0]
+
+
+def test_a_pair_and_its_disk_get_one_verdict_at_the_exact_edge():
+    # numpy's complex abs takes |phi - varphi| one ulp below Python's, which
+    # sector_to_disk uses. A - lambda I = c E12 has norm exactly c, the disk's
+    # edge r (1 + DISK_TOL), so a sector check with the other modulus fails.
+    pair = SectorPair(1.01 + 0.9j, 1 - 0.09j, ACCRETIVE)
+    assert float(np.abs(np.complex128(pair.phi - pair.varphi))) != abs(pair.phi - pair.varphi)
+    disk = sector_to_disk(pair)
+    c = disk.r * (1.0 + DISK_TOL)
+    a = disk.lam * np.eye(2, dtype=complex)
+    a[0, 1] = c
+    assert check_disk(a, disk) == (True, c)
+    assert check_sector_hypothesis(a, pair)[0] is True

@@ -184,6 +184,14 @@ def test_sector_hypothesis_is_exact_at_extreme_scales(k):
             ]
 
 
+def test_sector_hypothesis_where_phi_minus_varphi_overflows():
+    # |phi - varphi| = 2.5 * 2^1023 is beyond the double range; its half,
+    # the radius, is not. Outside the disk, ||A - lambda I|| = 1.5 * 2^1023.
+    pair = SectorPair(1.5 * 2.0**1023, -(2.0**1023), ACCRETIVE)
+    assert check_sector_hypothesis(2.0**1021 * np.eye(2), pair)[0] is True
+    assert check_sector_hypothesis(np.diag([1.75 * 2.0**1023, 0.0]), pair)[0] is False
+
+
 def test_sector_to_disk():
     c = sector_to_disk(SectorPair(phi=2.0, varphi=1.0))
     assert c.lam == 1.5 and c.r == 0.5
@@ -450,6 +458,32 @@ def test_evaluators_raise_for_undefined_bounds():
         with pytest.raises(exc):
             fn(a, cert)
     assert eval_sector_gap_weighted(zero, seg).inequality_id == "C4_6"
+
+
+@pytest.mark.parametrize("pick, ids", [
+    (eval_disk_bound, ("T2_2", "E2_4")),
+    (eval_radius_ratio, ("T3_2", "R3_5")),
+    (eval_disk_gap_weighted, ("T4_2",)),
+    (eval_sector_gap, ("C2_7",)),
+    (eval_sector_ratio, ("C3_6", "C3_7")),
+    (eval_sector_gap_weighted, ("C4_6",)),
+    (eval_segment_bounds, ("R4_9", "R4_10", "R4_11", "R4_12")),
+])
+def test_a_pick_is_verify_alls_reports_for_its_ids_and_builds_only_them(pick, ids, monkeypatch):
+    built = []
+    monkeypatch.setattr(bounds, "ROWS", tuple(
+        row._replace(lhs=lambda v, _row=row: built.append(_row.iid) or _row.lhs(v)) for row in ROWS))
+    t, seg = gen_segment_instance(1.0, 4.0, 3, 0)
+    if ids[0] in ("T2_2", "T3_2", "T4_2"):
+        certs = [gen_disk_instance(1 + 0.5j, 0.4, 3, 1)[1], sector_to_disk(seg), DiskCertificate(3.0, 0.1)]
+    else:
+        certs = [seg, SectorPair(seg.phi, seg.varphi, ACCRETIVE)]
+    for cert in certs:
+        built.clear()
+        got = pick(t, cert)
+        assert built == list(ids)
+        assert (got if isinstance(got, tuple) else (got,)) == tuple(
+            rep for rep in verify_all(t, [cert]) if rep.inequality_id in ids)
 
 
 # ------------------------------------------------------------- verify_all

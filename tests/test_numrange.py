@@ -5,6 +5,7 @@ support-function sweeps cross-validate the certified radius; geometric
 invariants of the range are checked on random ensembles.
 """
 
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -24,6 +25,7 @@ from numrad.numrange import (
     _SEED_ANGLES,
     LEVEL_RTOL,
     SEED_GRID,
+    _ascend,
     _seed_supports,
     is_convex_polyline,
     numerical_radius,
@@ -385,6 +387,30 @@ def test_oracle_is_exact_under_power_of_two_scaling(n):
     base = numerical_radius_oracle(a, 5000, seed=3)
     for k in (-1000, 1000):
         assert numerical_radius_oracle(a * 2.0**k, 5000, seed=3) == base * 2.0**k
+
+
+def test_ascent_is_monotone_from_its_starts_to_the_radius():
+    # Seeded A of n = 1..6, then the identity, the zero matrix and a diagonal
+    # A started from its eigenvectors: there the gradient Hx - <Hx, x>x is
+    # exactly zero.
+    rng = np.random.default_rng(31)
+
+    def starts(n):
+        x = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        return x / np.linalg.norm(x, axis=1)[:, None]
+
+    cases = [(rand_matrix(rng, n), starts(n)) for n in range(1, 7)]
+    cases += [(np.eye(3, dtype=complex), starts(3)), (np.zeros((3, 3), dtype=complex), starts(3)),
+              (np.diag([3.0, -1.0, 2.0]).astype(complex), np.eye(3, dtype=complex))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, (a, x) in enumerate(cases):
+            values = [_ascend(a, x, steps) for steps in range(5)]
+            assert values == sorted(values)
+            if 1 <= k <= 5:  # the seeded A of n >= 2 gain in the first step
+                assert values[1] > values[0]
+            assert values[0] == np.abs(np.einsum("bi,bi->b", x.conj(), x @ a.T)).max()
+            assert values[-1] <= numerical_radius(a) * (1 + 1e-12)
 
 
 # -------------------------------------------------------------- invariants
