@@ -299,11 +299,11 @@ def check_sector_hypothesis(a, s: SectorPair):
     a = _as_stack(a)
     e = np.frexp(np.maximum(np.abs(a).max(axis=(-2, -1)), max(abs(s.phi), abs(s.varphi))))[1]
     a, phi, varphi = (_ldexp(z, -e[..., None, None]) for z in (a, s.phi, s.varphi))
-    u, d = a - 0.5 * (phi + varphi) * np.eye(a.shape[-1]), 0.5 * (phi - varphi)
+    u = a - 0.5 * (phi + varphi) * np.eye(a.shape[-1])
     norm, r = _spectral_norms(u), np.ldexp(abs(s.phi / 2.0 - s.varphi / 2.0), -e)
     ok = norm <= r * (1.0 + DISK_TOL)
     if s.mode == OPERATOR_ORDER:
-        du = np.conj(d) * u
+        du = np.conj(0.5 * (phi - varphi)) * u
         asym = np.linalg.norm(du - du.conj().swapaxes(-1, -2), axis=(-2, -1))
         ok &= asym <= SYM_RTOL * np.linalg.norm(du, axis=(-2, -1))
     with np.errstate(over="ignore"):
