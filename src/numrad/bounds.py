@@ -265,13 +265,21 @@ def check_disk(t, cert: DiskCertificate):
     return _verdicts(t, measured <= cert.r * (1.0 + DISK_TOL), measured)
 
 
+def _disk_of(s: SectorPair) -> tuple[complex, float]:
+    """(lambda, r) = (phi/2 + varphi/2, |phi/2 - varphi/2|): the pair's disk
+    from the halves, which are exact away from subnormals, so both stay
+    finite where phi + varphi or phi - varphi overflows."""
+    p, q = s.phi / 2.0, s.varphi / 2.0
+    return p + q, abs(p - q)
+
+
 def sector_to_disk(s: SectorPair) -> DiskCertificate:
-    """Equivalent disk certificate: center (phi+varphi)/2, radius |phi-varphi|/2."""
+    """Equivalent disk certificate: center (phi+varphi)/2, radius |phi-varphi|/2 (see `_disk_of`)."""
     if s.phi == s.varphi:
         raise DegenerateSector("sector endpoints coincide (disk radius would be 0)")
     if s.phi == -s.varphi:
         raise DegenerateSector("sector endpoints are opposite (disk center would be 0)")
-    return DiskCertificate(lam=(s.phi + s.varphi) / 2.0, r=abs(s.phi - s.varphi) / 2.0)
+    return DiskCertificate(*_disk_of(s))
 
 
 def check_sector_hypothesis(a, s: SectorPair):
@@ -300,7 +308,7 @@ def check_sector_hypothesis(a, s: SectorPair):
     e = np.frexp(np.maximum(np.abs(a).max(axis=(-2, -1)), max(abs(s.phi), abs(s.varphi))))[1]
     a, phi, varphi = (_ldexp(z, -e[..., None, None]) for z in (a, s.phi, s.varphi))
     u = a - 0.5 * (phi + varphi) * np.eye(a.shape[-1])
-    norm, r = _spectral_norms(u), np.ldexp(abs(s.phi / 2.0 - s.varphi / 2.0), -e)
+    norm, r = _spectral_norms(u), np.ldexp(_disk_of(s)[1], -e)
     ok = norm <= r * (1.0 + DISK_TOL)
     if s.mode == OPERATOR_ORDER:
         du = np.conj(0.5 * (phi - varphi)) * u
@@ -390,8 +398,7 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
     as requirements or hypotheses are attributes of v too.
     """
     disk = isinstance(cert, DiskCertificate)
-    lam, r = (cert.lam, cert.r) if disk else (
-        (cert.phi + cert.varphi) / 2.0, abs(cert.phi - cert.varphi) / 2.0)
+    lam, r = (cert.lam, cert.r) if disk else _disk_of(cert)
     e = np.frexp(np.maximum(norm, max(abs(lam), r)))[1]
     e += e & 1
 
@@ -414,7 +421,7 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
     v.sector, v.root = rp > 0, np.sqrt(np.maximum(rp, 0.0))
     m, M = cert.segment() or (np.nan, np.nan)
     v.segment = v.always & (0 < m <= M)
-    v.flag = bool(abs(p - q) <= REFINEMENT_RATIO * abs(p + q))
+    v.flag = bool(r <= REFINEMENT_RATIO * abs(lam))
     return v
 
 

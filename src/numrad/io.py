@@ -78,9 +78,9 @@ def load_matrix(path) -> np.ndarray:
 def write_boundary_csv(path, boundary) -> None:
     """CSV with header theta,re,im,support, one row per grid angle."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("theta,re,im,support\n")
-        for th, z, s in zip(boundary.thetas, boundary.points, boundary.supports):
-            fh.write(f"{th:.17g},{z.real:.17g},{z.imag:.17g},{s:.17g}\n")
+        rows = zip(boundary.thetas.tolist(), boundary.points.real.tolist(),
+                   boundary.points.imag.tolist(), boundary.supports.tolist())
+        fh.write("theta,re,im,support\n" + "".join(["%.17g,%.17g,%.17g,%.17g\n" % row for row in rows]))
 
 
 def report_to_obj(rep) -> dict:

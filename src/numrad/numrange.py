@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import NoConvergence, _as_stack, as_matrix, operator_norm, pow2_scaled
+from .linalg import NoConvergence, _as_stack, _ldexp, _spectral_norms, as_matrix, operator_norm, pow2_scaled
 
 __all__ = [
     "Boundary",
@@ -130,6 +130,10 @@ def numerical_range_boundary(a, n_theta: int) -> Boundary:
     k + n_theta/2 gets the bottom eigenpair of angle k, with support
     -lambda_min. Those supports agree with a full sweep to eigensolver
     roundoff, not bit for bit; an odd n_theta sweeps every angle.
+
+    The sweep runs on A scaled by a power of two to a largest entry in
+    [1/2, 1) (see `pow2_scaled`), and points and supports are scaled back
+    exactly, so the boundary of 2^k A is 2^k times that of A.
     """
     a = as_matrix(a)
     n_theta = int(n_theta)
@@ -137,13 +141,14 @@ def numerical_range_boundary(a, n_theta: int) -> Boundary:
         raise ValueError(f"need at least 8 boundary angles, got {n_theta}")
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     m = n_theta // 2 if n_theta % 2 == 0 else n_theta
+    a, e = pow2_scaled(a)
     vals, vecs = np.linalg.eigh(_hermitian_stack(a[None], a.conj()[None], [0] * m, thetas[:m]))
     supports, x = vals[:, -1], vecs[:, :, -1]
     if m < n_theta:
         supports = np.concatenate([supports, -vals[:, 0]])
         x = np.concatenate([x, vecs[:, :, 0]])
     points = np.einsum("ki,ij,kj->k", x.conj(), a, x)
-    return Boundary(thetas=thetas, points=points, supports=supports)
+    return Boundary(thetas=thetas, points=_ldexp(points, e), supports=np.ldexp(supports, e))
 
 
 def _polish(a: np.ndarray, ac: np.ndarray, owner: np.ndarray, thetas: np.ndarray,
@@ -195,6 +200,77 @@ def _starts(owner: np.ndarray, thetas: np.ndarray, vals: np.ndarray):
     return owner[keep], thetas[order][keep]
 
 
+def _norm_bound(a: np.ndarray) -> np.ndarray:
+    """An upper bound on (||A|| + ||A^2||^(1/2)) / 2, so on w(A), for each
+    matrix of the stack a (B, n, n), whose largest entries are in [1/2, 1).
+
+    w(A) <= (||A|| + ||A^2||^(1/2)) / 2 is Kittaneh's bound (Studia Math. 158,
+    2003): equality holds for normaloid A (w = ||A||, as for Hermitian and
+    normal A) and for A^2 = 0 (w = ||A||/2). Both norms come from one
+    `_spectral_norms` call over the stack [A; fl(AA)]. Rounding margin, with
+    u = eps/2 and g = (n + 2) u / (1 - (n + 2) u), the bound for a complex
+    inner product of length n (Higham 2002, section 3.6):
+
+    - Gram product: |fl(S*S) - S*S| <= g |S|*|S| entrywise, so its 2-norm
+      error is at most g ||S||_F^2 <= n g ||S||^2.
+    - Eigensolver: LAPACK's Hermitian solvers are backward stable. The
+      computed top eigenvalue of fl(S*S) is taken to be exact for a
+      perturbation of norm at most n^2 u ||fl(S*S)||, a generous form of the
+      p(n) u of Householder tridiagonalisation.
+    - So a computed squared norm is below the true one by at most
+      (n g + n^2 u) ||S||^2 <= 2 (n + 2)^2 u ||S||^2, and a computed norm,
+      after the square root and its rounding, by about (n + 2)^2 u ||S||.
+    - Product: |fl(AA) - A^2| <= g |A||A| entrywise, so
+      ||A^2|| <= ||fl(AA)|| + g F with F = || |A||A| ||_F, which is 0 when
+      A^2 = 0 by its zero pattern, as for a square-zero block matrix.
+
+    With N1, N2 the computed norms of A and fl(AA), the bound is
+    (N1 + sqrt(N2 + 2 g F)) / 2 times 1 + 2 (n + 2)^2 eps = 1 + 4 (n + 2)^2 u:
+    four times a norm's relative error, which also covers the rounding of F
+    and of these few operations.
+    The factor is below LEVEL_RTOL up to n = 45 (5.1e-13 at n = 32).
+    Entries below 1 keep every product in range.
+    """
+    n = a.shape[-1]
+    g = (n + 2) * _EPS / 2 / (1 - (n + 2) * _EPS / 2)
+    n1, n2 = _spectral_norms(np.concatenate([a, a @ a])).reshape(2, -1)
+    mag = np.abs(a)
+    mag2 = mag @ mag
+    f = np.sqrt(np.einsum("bij,bij->b", mag2, mag2))
+    return 0.5 * (n1 + np.sqrt(n2 + 2.0 * g * f)) * (1.0 + 2.0 * (n + 2) ** 2 * _EPS)
+
+
+def _factors(m: np.ndarray) -> bool:
+    """True when `cholesky` factorises every matrix of the stack m."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _rises(h: np.ndarray, level: np.ndarray, owner: np.ndarray):
+    """(p, value) for each midpoint p whose H, h[p], has its top eigenvalue
+    above level[p]; owner[p], sorted, names p's matrix.
+
+    A Cholesky factorisation of level I - H that succeeds proves, up to its
+    backward error, that no eigenvalue of H is above the level: the same
+    kind of guarantee as the eigensolver's. One batched `cholesky` decides
+    the usual case, in which no midpoint is above its level. When it raises,
+    each matrix factorises its own midpoints again, and only the matrices
+    that fail take `eigvalsh` values of their midpoints. So a matrix's
+    verdict depends only on its own midpoints, as it would alone.
+    """
+    shifted = level[:, None, None] * np.eye(h.shape[-1]) - h
+    if _factors(shifted):
+        return owner[:0], level[:0]
+    mats = np.split(shifted, np.flatnonzero(np.diff(owner)) + 1)
+    p = np.flatnonzero(np.concatenate([np.full(len(m), not _factors(m)) for m in mats]))
+    vals = np.linalg.eigvalsh(h[p])[:, -1]
+    up = vals > level[p]
+    return p[up], vals[up]
+
+
 def numerical_radius(a):
     """Numerical radius w(A) = max over theta of the top eigenvalue f(theta) of H(theta).
 
@@ -204,21 +280,30 @@ def numerical_radius(a):
     step acts on each matrix on its own, so a radius does not depend on its
     neighbours in the stack, to the last bit.
 
-    Certified level-set iteration (He & Watson 1997; Mengi & Overton 2005):
+    Certified level-set iteration (He & Watson 1997; Mengi & Overton 2005),
+    which certifies the level r = L (1 + LEVEL_RTOL) above the attained L:
 
     1. The local maxima of f on a SEED_GRID-angle grid (see
        `_seed_supports`) start Newton steps (see `_polish`); L is the
        largest f met, attained at an explicit angle, so L <= w(A).
-    2. Level-set test at r = L (1 + LEVEL_RTOL). With theta = phi + 2 atan(t),
-       (1 + t^2)(H(theta) - r I) is the Hermitian quadratic
-       P(t) = t^2 (H(psi) - r I) - 2 t H'(psi) - (H(psi) + r I), where
-       psi = phi + pi is the grid minimum of f; at an angle of the grid's
-       second half, H(psi) is taken as -H(psi - pi). So r is an eigenvalue of
-       H(theta) exactly when det P(t) = 0, and the leading coefficient is
-       negative definite because f(psi) <= L < r: its inverse and the
-       eigenvalues of the 2n x 2n companion matrix give every crossing.
-    3. Between consecutive crossings f - r keeps one sign, so one batched
-       evaluation at their midpoints decides it on the whole circle. No
+    2. Norm bound: w(A) <= U, Kittaneh's (||A|| + ||A^2||^(1/2)) / 2 with a
+       rounding margin (see `_norm_bound`). A matrix with r >= U is certified
+       with no level-set test. The bound is exact for normaloid A, such as
+       Hermitian or normal A, and for A^2 = 0, the two ends of
+       ||A||/2 <= w(A) <= ||A||; its margin is below LEVEL_RTOL for n <= 45.
+    3. Level-set test at r for the other matrices. With
+       theta = phi + 2 atan(t), (1 + t^2)(H(theta) - r I) is the Hermitian
+       quadratic P(t) = t^2 (H(psi) - r I) - 2 t H'(psi) - (H(psi) + r I),
+       where psi = phi + pi is the grid minimum of f; at an angle of the
+       grid's second half, H(psi) is taken as -H(psi - pi). So r is an
+       eigenvalue of H(theta) exactly when det P(t) = 0, and the leading
+       coefficient is negative definite because f(psi) <= L < r: its inverse
+       and the eigenvalues of the 2n x 2n companion matrix give every
+       crossing.
+    4. Between consecutive crossings f - r keeps one sign, so its sign at
+       their midpoints decides it on the whole circle: a Cholesky
+       factorisation of r I - H(mid) that succeeds shows f(mid) <= r, and
+       `eigvalsh` gives f(mid) only where it fails (see `_rises`). No
        midpoint above r certifies w(A) <= r; otherwise Newton restarts from
        the midpoints above r, and the test repeats at the raised L for the
        matrices that had such a midpoint.
@@ -250,6 +335,7 @@ def numerical_radius(a):
     owner, k = np.nonzero((sup >= ring[:, :-2]) & (sup >= ring[:, 2:]))
     best = sup.max(axis=1)
     _polish(a, ac, *_starts(owner, _SEED_ANGLES[k], sup[owner, k]), best)
+    live = np.flatnonzero(best * (1.0 + LEVEL_RTOL) < _norm_bound(a))
 
     k = np.argmin(sup, axis=1)
     psi = _SEED_ANGLES[k]
@@ -258,8 +344,9 @@ def numerical_radius(a):
     ah = ac.swapaxes(-1, -2)
     dh = 0.5j * (np.exp(1j * psi)[:, None, None] * a - np.exp(-1j * psi)[:, None, None] * ah)
     eye = np.eye(n)
-    live = np.arange(len(a))
     for _ in range(_MAX_TESTS):
+        if not live.size:
+            break
         r = best[live] * (1.0 + LEVEL_RTOL)
         ri = r[:, None, None] * eye
         comp = np.zeros((live.size, 2 * n, 2 * n), dtype=complex)
@@ -270,17 +357,17 @@ def numerical_radius(a):
         i, j = np.nonzero(np.diff(cross, axis=1) > _MIN_GAP)
         owner = live[i]
         mids = psi[owner] + np.pi + 0.5 * (cross[i, j + 1] + cross[i, j])
-        vals = np.linalg.eigvalsh(_hermitian_stack(a, ac, owner, mids))[:, -1]
-        up = vals > r[i]
-        if not up.any():
-            w[nonzero] = np.ldexp(best, e)
-            return float(w[0]) if not shape else w.reshape(shape)
+        up, vals = _rises(_hermitian_stack(a, ac, owner, mids), r[i], owner)
         # A matrix's largest midpoint value is above r when any is. (bincount
         # lists the owners above r: np.unique cost the sweep 1 MB of peak RSS.)
-        np.maximum.at(best, owner[up], vals[up])
-        _polish(a, ac, *_starts(owner[up], mids[up], vals[up]), best)
         live = np.flatnonzero(np.bincount(owner[up], minlength=len(a)))
-    raise NoConvergence(f"numerical radius not certified after {_MAX_TESTS} level-set tests")
+        if live.size:
+            np.maximum.at(best, owner[up], vals)
+            _polish(a, ac, *_starts(owner[up], mids[up], vals), best)
+    if live.size:
+        raise NoConvergence(f"numerical radius not certified after {_MAX_TESTS} level-set tests")
+    w[nonzero] = np.ldexp(best, e)
+    return float(w[0]) if not shape else w.reshape(shape)
 
 
 def _top(vals: np.ndarray, k: int) -> np.ndarray:

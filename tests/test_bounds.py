@@ -1,5 +1,6 @@
 """Certificate checks, bound evaluators, and their consistency identities."""
 
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -190,6 +191,25 @@ def test_sector_hypothesis_where_phi_minus_varphi_overflows():
     pair = SectorPair(1.5 * 2.0**1023, -(2.0**1023), ACCRETIVE)
     assert check_sector_hypothesis(2.0**1021 * np.eye(2), pair)[0] is True
     assert check_sector_hypothesis(np.diag([1.75 * 2.0**1023, 0.0]), pair)[0] is False
+
+
+@pytest.mark.parametrize("a, pair, verdict", [
+    # phi - varphi overflows: the disk's radius does not.
+    (np.diag([1.7e308, 0.0]), SectorPair(1.5e308, -1.4e308), False),
+    # phi + varphi overflows: the disk's center does not.
+    (np.diag([1e308, 1e308j]), SectorPair(1.5e308, 1.4e308j), True),
+])
+def test_a_pair_beyond_the_double_range_and_its_disk_get_one_verdict(a, pair, verdict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        disk = sector_to_disk(pair)
+        assert np.isfinite(disk.lam) and np.isfinite(disk.r)
+        assert check_sector_hypothesis(a, pair)[0] is verdict
+        assert check_disk(a, disk)[0] is verdict
+        (gap,) = verify_all(a, [pair])
+        twin = next(rep for rep in verify_all(a, [disk]) if rep.inequality_id == "T2_2")
+    assert gap.inequality_id == "C2_7" and gap.hypothesis_ok is twin.hypothesis_ok is verdict
+    assert gap.rhs == twin.rhs
 
 
 def test_sector_to_disk():

@@ -19,7 +19,7 @@ from numrad.extremal import (
     random_unitary,
     shift2,
 )
-from numrad.linalg import hermitian_eigen, operator_norm
+from numrad.linalg import hermitian_eigen, operator_norm, pow2_scaled
 from numrad.numrange import (
     _ORACLE_CHUNK,
     _SEED_ANGLES,
@@ -115,11 +115,28 @@ def test_half_angle_boundary_matches_the_full_sweep(n_theta):
 
 @pytest.mark.parametrize("n_theta", [9, 65])
 def test_odd_boundary_is_the_full_sweep(n_theta):
+    # The sweep of A scaled to a largest entry in [1/2, 1), scaled back, as
+    # the boundary itself scales.
     for a in boundary_matrices():
         b = numerical_range_boundary(a, n_theta)
-        supports, points = full_boundary_sweep(a, n_theta)
-        assert np.array_equal(b.supports, supports)
-        assert np.array_equal(b.points, points)
+        scaled, e = pow2_scaled(a.astype(complex))
+        supports, points = full_boundary_sweep(scaled, n_theta)
+        assert np.array_equal(b.supports, np.ldexp(supports, e))
+        assert np.array_equal(b.points, points * 2.0**e)
+
+
+@pytest.mark.parametrize("n_theta", [64, 65])
+def test_boundary_is_exact_under_power_of_two_scaling(n_theta):
+    # Beyond about 1e+-146 LAPACK's eigh rescales H(theta) by a factor that
+    # is not a power of two; the boundary's own pow2 scaling keeps it exact.
+    rng = np.random.default_rng(48)
+    for n in (2, 3, 4, 5, 6, 7, 8) * 6:
+        a = rand_matrix(rng, n)
+        b = numerical_range_boundary(a, n_theta)
+        for k in (400, 498, -498, 540, -540):
+            bk = numerical_range_boundary(a * 2.0**k, n_theta)
+            assert np.array_equal(bk.supports, np.ldexp(b.supports, k))
+            assert np.array_equal(bk.points, b.points * 2.0**k)
 
 
 def test_boundary_needs_eight_angles():
@@ -227,12 +244,60 @@ def count_calls(monkeypatch, *names):
 def test_radius_of_square_zero_stops_newton_at_once(seed, monkeypatch):
     # W(T) of a square-zero T is the disk of radius ||T||/2 about 0, so the
     # support function is flat: one grid sweep, one Newton evaluation that
-    # sees f'' ~ 0, and one level-set midpoint sweep.
+    # sees f'' ~ 0, and one norm sweep, whose bound certifies the radius.
     t = gen_nilpotent_instance(2 + seed, seed)
     calls = count_calls(monkeypatch, "eigvalsh", "eigh")
     w = numerical_radius(t)
     assert len(calls) <= 3
     assert abs(w - 0.5 * operator_norm(t)) <= 1e-12 * w
+
+
+def normaloid_and_square_zero(n, rng):
+    """(A, w(A)) for a Hermitian, a normal and a square-zero A of order n."""
+    g = rand_matrix(rng, n)
+    herm = 0.5 * (g + g.conj().T)
+    d = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    u = random_unitary(n, rng)
+    square_zero = gen_nilpotent_instance(n, int(rng.integers(1 << 30)))
+    return [(herm, np.abs(np.linalg.eigvalsh(herm)).max()), ((u * d) @ u.conj().T, np.abs(d).max()),
+            (square_zero, 0.5 * operator_norm(square_zero))]
+
+
+@pytest.mark.parametrize("n", [4, 32])
+def test_normaloid_and_square_zero_radii_take_no_level_set_test(n, monkeypatch):
+    # w = ||A|| (Hermitian, normal) and w = ||A||/2 (A^2 = 0) meet Kittaneh's
+    # bound, so it certifies the attained value: no solve, no eigvals.
+    cases = normaloid_and_square_zero(n, np.random.default_rng(50 + n))
+    calls = count_calls(monkeypatch, "eigvals", "solve")
+    for a, expected in cases:
+        assert abs(numerical_radius(a) - expected) <= 1e-12 * expected
+    stacked = numerical_radius(np.array([a for a, _ in cases]))
+    assert stacked.tolist() == [numerical_radius(a) for a, _ in cases]
+    assert calls == []
+
+
+def test_radius_near_the_norm_bound_margin_matches_fine_sweep(monkeypatch):
+    # A normal or Hermitian A plus s G. With a simple top eigenvalue,
+    # ||A|| - w(A) is of order s^2, so at s = 1e-7 the bound U sits near the
+    # certified level: some draws are certified by it and some take the
+    # level-set test. Either way the radius is the fine sweep's.
+    rng = np.random.default_rng(61)
+    tests = count_calls(monkeypatch, "eigvals")
+    certified = []
+    for n, scale in [(n, s) for n in (4, 8) for s in (1e-13, 1e-7, 1e-6)]:
+        u = random_unitary(n, rng)
+        d = rng.uniform(0.5, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        normal = (u * d) @ u.conj().T
+        herm = (u * rng.uniform(-1.0, 1.0, n)) @ u.conj().T
+        for base in (normal, herm):
+            a = base + scale * rand_matrix(rng, n)
+            before = len(tests)
+            w = numerical_radius(a)
+            ref = fine_radius(a)
+            assert abs(w - ref) <= 1e-12 * ref
+            assert ref <= w * (1.0 + LEVEL_RTOL)
+            certified.append(len(tests) == before)
+    assert any(certified) and not all(certified)
 
 
 @pytest.mark.parametrize("spectrum", [(2.0, -2.0, 0.5), (1.0, -3.0, 0.2), (3.0, -1.0, 2.9)])
@@ -311,6 +376,25 @@ def test_stacked_radius_is_bit_identical_to_one_matrix_at_a_time(n, monkeypatch)
         tests = count_calls(monkeypatch, "eigvals")
         numerical_radius(mats[-3])
         assert len(tests) == 2
+
+
+def test_second_test_draw_takes_its_second_test_through_the_cholesky_fallback(monkeypatch):
+    # Its first test has a midpoint above the level: the Cholesky of
+    # r I - H(mid) fails, eigvalsh finds that value, and Newton restarts.
+    raised = []
+    cholesky = np.linalg.cholesky
+
+    def counted(m):
+        try:
+            return cholesky(m)
+        except np.linalg.LinAlgError:
+            raised.append(len(m))
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    tests = count_calls(monkeypatch, "eigvals")
+    numerical_radius(gen_disk_instance(*SECOND_TEST_DRAW)[0])
+    assert len(tests) == 2 and raised
 
 
 def test_stacked_radius_of_empty_and_one_matrix_stacks():
