@@ -237,14 +237,13 @@ class InequalityReport:
     slack: float
     w: float
     norm: float
+    scaled_slack: float
     refinement_flag: bool | None = None
-    scaled_slack: float | None = None
 
     @property
     def violated(self) -> bool:
-        """The violation test on scaled_slack, or on slack for a report made without it."""
-        slack = self.slack if self.scaled_slack is None else self.scaled_slack
-        return bool(_violated(self.hypothesis_ok, slack))
+        """The violation test (see `_violated`) on scaled_slack."""
+        return bool(_violated(self.hypothesis_ok, self.scaled_slack))
 
 
 def _verdicts(t, ok, measured):
@@ -395,7 +394,9 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
     without the cancellation of a^2 - r^2 near a = r; a pair's is
     sqrt(Re(phi conj(varphi))) from the endpoints, whose a and r are already
     rounded, and sector is Re(phi conj(varphi)) > 0. The masks that rows name
-    as requirements or hypotheses are attributes of v too.
+    as requirements or hypotheses are attributes of v too, and so is the
+    refinement flag, r <= REFINEMENT_RATIO |lambda| for the disk (lambda, r):
+    a pair and `sector_to_disk` of it share it.
     """
     disk = isinstance(cert, DiskCertificate)
     lam, r = (cert.lam, cert.r) if disk else _disk_of(cert)
@@ -405,7 +406,8 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
     def s(x):
         return np.ldexp(x, -e)
 
-    v = SimpleNamespace(e=e, w=s(w), n=s(norm), a=s(abs(lam)), r=s(r), always=np.ones(e.shape, bool))
+    v = SimpleNamespace(e=e, w=s(w), n=s(norm), a=s(abs(lam)), r=s(r), always=np.ones(e.shape, bool),
+                        flag=bool(r <= REFINEMENT_RATIO * abs(lam)))
     v.nonzero, v.center = v.n != 0, v.a > v.r
     if disk:
         v.root = np.sqrt(np.maximum(v.a - v.r, 0.0)) * np.sqrt(v.a + v.r)
@@ -414,14 +416,12 @@ def _scaled(cert, w, norm) -> SimpleNamespace:
         v.apart = ~v.coincide
         v.rho = gap if cert.rho is None else s(cert.rho)
         v.rho_ok = v.rho <= gap + RHO_TOL * v.a
-        v.flag = bool(cert.r / abs(cert.lam) <= REFINEMENT_RATIO)
         return v
     p, q = cert.phi, cert.varphi
     rp = s(p.real) * s(q.real) + s(p.imag) * s(q.imag)
     v.sector, v.root = rp > 0, np.sqrt(np.maximum(rp, 0.0))
     m, M = cert.segment() or (np.nan, np.nan)
     v.segment = v.always & (0 < m <= M)
-    v.flag = bool(r <= REFINEMENT_RATIO * abs(lam))
     return v
 
 
@@ -490,7 +490,7 @@ def _reports(cert, check, bounds, i, w, norm) -> list:
             diag += f"; needs |lambda| > r, got |lambda| = {alam:.12g}, r = {cert.r:.12g}"
         reports.append(InequalityReport(
             b.iid, bool(b.ok[i]), diag if b.ok[i] else diag + " [hypothesis failed]", float(b.lhs[i]),
-            float(b.rhs[i]), float(b.slack[i]), w, norm, b.flag, float(b.scaled_slack[i])))
+            float(b.rhs[i]), float(b.slack[i]), w, norm, float(b.scaled_slack[i]), b.flag))
     return reports
 
 

@@ -28,14 +28,7 @@ from .bounds import (
     optimize_lambda,
     verify_all,
 )
-from .extremal import (
-    _disk_stack,
-    _ginibre_stack,
-    _nilpotent_stack,
-    _segment_stack,
-    probe_equality_case,
-    search_sqrt_disk,
-)
+from .extremal import _draw, probe_equality_case, search_sqrt_disk
 from .io import (
     load_matrix,
     reports_to_jsonl,
@@ -96,24 +89,6 @@ class SweepConfig:
             raise ValueError(f"ensemble {self.ensemble!r} needs a disk certificate")
 
 
-def _draw(cfg: SweepConfig, seeds) -> np.ndarray:
-    """The trial matrices of the configured ensemble, one per seed, as a stack.
-
-    seeds is a list of ints. Each trial draws from default_rng of its seed
-    with one ginibre call, in the order of the one-trial generators. The
-    chunk is then finished in one pass: one stacked norm call normalises the
-    disk, ginibre and nilpotent draws, and one batched QR makes the segment
-    draws' unitaries.
-    """
-    if cfg.ensemble == "disk":
-        return _disk_stack(cfg.cert.lam, cfg.cert.r, cfg.n, seeds)
-    if cfg.ensemble == "segment":
-        return _segment_stack(*cfg.cert.segment(), cfg.n, seeds)
-    if cfg.ensemble == "nilpotent":
-        return _nilpotent_stack(cfg.n, seeds)
-    return _ginibre_stack(cfg.n, seeds)
-
-
 def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     """Run the ensemble and aggregate per-identifier slack statistics.
 
@@ -123,10 +98,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     equals its one-trial generator's, and every row entry the report that
     verify_all gives its trial alone.
     """
-    trial_seeds = np.random.default_rng(cfg.seed).integers(
-        0, 2**63, size=cfg.trials, dtype=np.uint64
-    )
-    chunks = [bound_table(_draw(cfg, trial_seeds[i:i + _CHUNK].tolist()), cfg.cert)
+    seeds = np.random.default_rng(cfg.seed).integers(0, 2**63, size=cfg.trials, dtype=np.uint64).tolist()
+    chunks = [bound_table(_draw(cfg.ensemble, cfg.cert, cfg.n, seeds[i:i + _CHUNK]), cfg.cert)
               for i in range(0, cfg.trials, _CHUNK)]
     rows, violations = [], 0
     for parts in zip(*chunks):

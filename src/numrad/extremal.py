@@ -1,10 +1,12 @@
 """Instance generators, golden operators, and extremal random searches.
 
 Generators manufacture matrices that satisfy a certificate hypothesis by
-construction, for ensemble sweeps. The searches probe two questions about
-unit-norm operators with orthogonal ranges (equivalently T^2 = 0): how close
-||T - lambda I|| can get to sqrt(|lambda|), and how close ||T - I|| can get
-to 1. Both report the best violation score found and assert nothing.
+construction, for ensemble sweeps. One private `_draw` draws every ensemble,
+a chunk of seeds at a time for the sweep and one seed for each gen_*
+generator. The searches probe two questions about unit-norm operators with
+orthogonal ranges (equivalently T^2 = 0): how close ||T - lambda I|| can get
+to sqrt(|lambda|), and how close ||T - I|| can get to 1. Both report the
+best violation score found and assert nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import DiskCertificate, SectorPair
-from .linalg import _spectral_norms, as_matrix, operator_norm, shifted_norms
+from .linalg import _spectral_norms, as_matrix, shifted_norms
 
 __all__ = [
     "SearchResult",
@@ -78,30 +80,14 @@ def _haar(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _unit_norm(g: np.ndarray) -> np.ndarray:
-    """Each matrix of the stack g over its spectral norm, with one stacked norm call."""
-    return g / _spectral_norms(g)[:, None, None]
-
-
 def gen_disk_instance(lam, r, n, seed) -> tuple[np.ndarray, DiskCertificate]:
     """Random T = lam I + u r C with ||C|| = 1, u uniform in [0, 1).
 
     ||T - lam I|| = u r <= r, so the returned certificate passes check_disk
     by construction. Deterministic per seed.
     """
-    return _disk_stack(lam, r, n, [seed])[0], DiskCertificate(lam=lam, r=r)
-
-
-def _disk_stack(lam, r, n, seeds) -> np.ndarray:
-    """gen_disk_instance's matrices, one per seed, as a stack (B, n, n)."""
-    lam, r, n = complex(lam), float(r), int(n)
-    if lam == 0 or r <= 0 or n < 1:
-        raise ValueError("need lam != 0, r > 0, n >= 1")
-    # Each generator draws its trial's numbers in the one-trial order.
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    c = _unit_norm(np.array([ginibre(n, rng) for rng in rngs]))
-    u = np.array([rng.uniform() for rng in rngs])
-    return lam * np.eye(n, dtype=complex) + (u * r)[:, None, None] * c
+    cert = DiskCertificate(lam=lam, r=r)
+    return _draw("disk", cert, n, [seed])[0], cert
 
 
 def gen_segment_instance(m, M, n, seed) -> tuple[np.ndarray, SectorPair]:
@@ -111,19 +97,8 @@ def gen_segment_instance(m, M, n, seed) -> tuple[np.ndarray, SectorPair]:
     roundoff asymmetry. The returned segment pair (varphi, phi) = (m, M)
     passes the operator-order sector check by construction.
     """
-    return _segment_stack(m, M, n, [seed])[0], SectorPair.from_segment(m, M)
-
-
-def _segment_stack(m, M, n, seeds) -> np.ndarray:
-    """gen_segment_instance's matrices, one per seed, as a stack (B, n, n)."""
-    m, M, n = float(m), float(M), int(n)
-    if not (0 < m <= M) or n < 1:
-        raise ValueError("need M >= m > 0 and n >= 1")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    d = np.array([rng.uniform(m, M, size=n) for rng in rngs])
-    u = _haar(np.array([ginibre(n, rng) for rng in rngs]))
-    a = (u * d[:, None, :]) @ u.conj().swapaxes(-1, -2)
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    pair = SectorPair.from_segment(m, M)
+    return _draw("segment", pair, n, [seed])[0], pair
 
 
 def gen_nilpotent_instance(n, seed) -> np.ndarray:
@@ -133,23 +108,45 @@ def gen_nilpotent_instance(n, seed) -> np.ndarray:
     strictly lower triangular matrix whose square vanishes identically (an
     elementwise strictly triangular fill would not square to zero for n > 2).
     """
-    return _nilpotent_stack(n, [seed])[0]
+    return _draw("nilpotent", None, n, [seed])[0]
 
 
-def _nilpotent_stack(n, seeds) -> np.ndarray:
-    """gen_nilpotent_instance's matrices, one per seed, as a stack (B, n, n)."""
+def _draw(ensemble, cert, n, seeds) -> np.ndarray:
+    """The matrices of a sweep ensemble, one per seed, as a stack (B, n, n).
+
+    disk and segment draw what gen_disk_instance and gen_segment_instance
+    draw, for the disk certificate or the real segment pair cert; nilpotent
+    what gen_nilpotent_instance draws, and ginibre a unit-norm Ginibre
+    matrix, for any cert. Each trial draws from default_rng of its seed with
+    one ginibre call, in the order of a one-trial draw. The stack is then
+    finished in one pass: one stacked norm call normalises the disk, ginibre
+    and nilpotent draws, and one batched QR makes the segment draws'
+    unitaries. So a matrix does not depend on the stack it is drawn in.
+    """
     n = int(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    t = np.zeros((len(seeds), n, n), dtype=complex)
-    for ti, seed in zip(t, seeds):
-        _fill_square_zero(ti, np.random.default_rng(seed))
-    return _unit_norm(t)
-
-
-def _ginibre_stack(n, seeds) -> np.ndarray:
-    """Unit-norm Ginibre matrices, one per seed, as a stack (B, n, n)."""
-    return _unit_norm(np.array([ginibre(n, np.random.default_rng(seed)) for seed in seeds]))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if ensemble == "segment":
+        m, M = cert.segment()
+        if not (0 < m <= M) or n < 1:
+            raise ValueError("need M >= m > 0 and n >= 1")
+        d = np.array([rng.uniform(m, M, size=n) for rng in rngs])
+        u = _haar(np.array([ginibre(n, rng) for rng in rngs]))
+        a = (u * d[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    least = 2 if ensemble == "nilpotent" else 1
+    if n < least:
+        raise ValueError(f"need n >= {least}")
+    if ensemble == "nilpotent":
+        t = np.zeros((len(rngs), n, n), dtype=complex)
+        for ti, rng in zip(t, rngs):
+            _fill_square_zero(ti, rng)
+    else:
+        t = np.array([ginibre(n, rng) for rng in rngs])
+    t /= _spectral_norms(t)[:, None, None]
+    if ensemble != "disk":
+        return t
+    u = np.array([rng.uniform() for rng in rngs])
+    return cert.lam * np.eye(n, dtype=complex) + (u * cert.r)[:, None, None] * t
 
 
 def _fill_square_zero(t: np.ndarray, rng: np.random.Generator) -> None:
@@ -180,13 +177,22 @@ class SearchResult:
 
 
 def candidate_violations(t, lam) -> tuple[float, float, float]:
-    """(norm_dev, nilpotency, disk_excess) of a candidate against sqrt(|lambda|)."""
-    t = as_matrix(t)
+    """(norm_dev, nilpotency, disk_excess) of a candidate against sqrt(|lambda|).
+
+    The one-candidate case of the search's measure (see `_violations`), so
+    it gives a search result's fields bit for bit.
+    """
     lam = complex(lam)
-    norm_dev = abs(operator_norm(t) - 1.0)
-    nilpotency = operator_norm(t @ t)
-    disk_excess = max(0.0, float(shifted_norms(t, [lam])[0]) - float(np.sqrt(abs(lam))))
-    return norm_dev, nilpotency, disk_excess
+    norm_dev, nilpotency, excess = _violations(as_matrix(t)[None], [lam], np.sqrt([abs(lam)]))
+    return float(norm_dev[0]), float(nilpotency[0]), float(excess[0, 0])
+
+
+def _violations(ts: np.ndarray, lam_values, allowed):
+    """(norm_dev, nilpotency, excess) of the stack ts (B, n, n): | ||T|| - 1 |
+    and ||T^2|| of shape (B,), and max(0, ||T - lam I|| - allowed) of shape
+    (B, len(lam_values)), one stacked norm call each."""
+    excess = np.maximum(0.0, shifted_norms(ts, lam_values) - allowed)
+    return np.abs(_spectral_norms(ts) - 1.0), _spectral_norms(ts @ ts), excess
 
 
 def _search(n, iters, seed, lam_values, allowed) -> SearchResult:
@@ -217,11 +223,9 @@ def _search(n, iters, seed, lam_values, allowed) -> SearchResult:
         if not keep.any():
             continue
         ts = ts[keep] / nrm[keep, None, None]
-        excess = np.maximum(0.0, shifted_norms(ts, lam_values) - allowed)
+        norm_dev, nilpotency, excess = _violations(ts, lam_values, allowed)
         j = np.argmin(excess, axis=-1)
         disk_excess = excess.min(axis=-1)
-        norm_dev = np.abs(_spectral_norms(ts) - 1.0)
-        nilpotency = _spectral_norms(ts @ ts)
         score = np.maximum(np.maximum(norm_dev, nilpotency), disk_excess)
         i = int(np.argmin(score))
         if best is None or score[i] < best.score:

@@ -9,6 +9,7 @@ for CSV).
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -84,18 +85,10 @@ def write_boundary_csv(path, boundary) -> None:
 
 
 def report_to_obj(rep) -> dict:
-    obj = {
-        "inequality_id": rep.inequality_id,
-        "hypothesis_ok": bool(rep.hypothesis_ok),
-        "diagnostic": rep.diagnostic,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "w": rep.w,
-        "norm": rep.norm,
-    }
-    if rep.refinement_flag is not None:
-        obj["refinement_flag"] = bool(rep.refinement_flag)
+    """An InequalityReport's fields but scaled_slack, and refinement_flag only when set."""
+    obj = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "scaled_slack"}
+    if rep.refinement_flag is None:
+        del obj["refinement_flag"]
     return obj
 
 

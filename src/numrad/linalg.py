@@ -24,11 +24,17 @@ __all__ = [
 # constructed rather than measured, so near-misses are not symmetrized
 # silently; the caller must pass a genuinely Hermitian matrix.
 HERMITIAN_RTOL = 1e-10
-# Range of the squared Frobenius norm in which A*A is formed unscaled: inside
-# it no entry of A*A overflows, and underflowed products are negligible
-# against its top eigenvalue, which is at least 1/n of the squared norm.
-_GRAM_MIN = 2.0**-900
-_GRAM_MAX = 2.0**900
+# Range of the squared Frobenius norm f of S in which S*S is formed and
+# solved unscaled. Inside it no entry of S*S overflows, underflowed products
+# are negligible against its top eigenvalue (at least f/n), and LAPACK makes
+# none of its own rescalings, whose factors are not powers of two: zheevd's
+# when the largest entry of S*S, which is in [f/n, f], leaves [2^-485, 2^485],
+# and dsterf's when the largest entry of its tridiagonal matrix, which is in
+# [f/(n sqrt(3n)), f] (it has at most 3n - 2 entries and the Frobenius norm
+# of S*S), is below 2^-405. So for n up to 2^16 every norm scales exactly by
+# the power of two that scales S.
+_GRAM_MIN = 2.0**-380
+_GRAM_MAX = 2.0**380
 
 
 class NotHermitian(ValueError):
@@ -117,10 +123,11 @@ def _spectral_norms(s: np.ndarray):
     applies directly. Squaring costs a few digits near the bottom of the
     spectrum but is harmless for the top singular value. The squared
     Frobenius norm of S brackets that top eigenvalue within a factor n; when
-    it leaves [_GRAM_MIN, _GRAM_MAX], S*S would under- or overflow, and S is
-    first scaled by a power of two (see `pow2_scaled`). For a stack, that
-    test and the scaling are made for each matrix on its own, so a norm does
-    not depend on its neighbours. An all-zero input skips the eigensolver:
+    it leaves [_GRAM_MIN, _GRAM_MAX], S*S could under- or overflow, or LAPACK
+    rescale it inexactly, and S is first scaled by a power of two (see
+    `pow2_scaled`). So the norm of 2^k S is exactly 2^k times that of S. For
+    a stack, that test and the scaling are made for each matrix on its own,
+    so a norm does not depend on its neighbours. An all-zero input skips the eigensolver:
     the searches measure an exactly zero T^2 on every trial.
     """
     e = 0
@@ -144,8 +151,9 @@ def _spectral_norms(s: np.ndarray):
 def operator_norm(a) -> float:
     """Spectral norm, the largest singular value.
 
-    A is scaled by a power of two first when A*A would under- or overflow, so
-    the norm stays accurate from 1e-170 to 1e160 and beyond.
+    A is scaled by a power of two first when A*A could under- or overflow or
+    LAPACK rescale it, so the norm stays accurate from 1e-170 to 1e160 and
+    beyond, and the norm of 2^k A is exactly 2^k times that of A.
     """
     return float(_spectral_norms(as_matrix(a)))
 

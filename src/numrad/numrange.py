@@ -314,9 +314,9 @@ def numerical_radius(a):
     than _MIN_GAP, such as the two angles of a conjugate pair, are skipped,
     and so is the gap through psi, where f < r.
     The iteration runs on each matrix scaled by its own power of two (exact),
-    and returns L. A zero matrix has radius 0 and skips the iteration, whose
-    level-set solve would be singular; so does a 1 x 1 matrix, whose radius
-    is |a11|, since W(A) = {a11}.
+    and returns L. A zero matrix has L = U = 0, so step 2 certifies it before
+    the level-set solve, which would be singular for it. A 1 x 1 matrix
+    skips the iteration: its radius is |a11|, since W(A) = {a11}.
     """
     a = _as_stack(a)
     shape, n = a.shape[:-2], a.shape[-1]
@@ -326,9 +326,6 @@ def numerical_radius(a):
         w = np.array([math.hypot(z.real, z.imag) for z in a.ravel().tolist()]).reshape(shape)
         return float(w) if not shape else w
     a, e = pow2_scaled(a.reshape(-1, n, n))
-    w = np.zeros(e.shape)
-    nonzero = np.flatnonzero(a.any(axis=(1, 2)))
-    a, e = a[nonzero], e[nonzero]
     ac = a.conj()
     sup, stack = _seed_supports(a, ac)
     ring = np.concatenate([sup[:, -1:], sup, sup[:, :1]], axis=1)
@@ -366,7 +363,7 @@ def numerical_radius(a):
             _polish(a, ac, *_starts(owner[up], mids[up], vals), best)
     if live.size:
         raise NoConvergence(f"numerical radius not certified after {_MAX_TESTS} level-set tests")
-    w[nonzero] = np.ldexp(best, e)
+    w = np.ldexp(best, e)
     return float(w[0]) if not shape else w.reshape(shape)
 
 

@@ -349,6 +349,31 @@ def test_refinement_flag_threshold_is_exact():
     assert rep.refinement_flag is False
 
 
+def test_pair_and_its_disk_share_the_refinement_flag_at_the_threshold():
+    # Pairs with r/|lambda| within 1 ulp of REFINEMENT_RATIO, where the
+    # tests r/|lambda| <= ratio and r <= ratio |lambda| can round to
+    # different sides: the flag has one formula, so the pair's rows and its
+    # disk's rows carry the same flag.
+    ratio = bounds.REFINEMENT_RATIO
+    rng = np.random.default_rng(5)
+    split = 0
+    for _ in range(100):
+        lam = complex(*rng.uniform(-2.0, 2.0, 2))
+        u = np.exp(2j * np.pi * rng.uniform())
+        for k in range(-3, 4):
+            d = ratio * abs(lam) * (1.0 + k * np.finfo(float).eps) * u
+            pair = SectorPair(phi=lam + d, varphi=lam - d)
+            disk = sector_to_disk(pair)
+            q = disk.r / abs(disk.lam)
+            if abs(q - ratio) > np.spacing(ratio):
+                continue
+            split += (q <= ratio) != (disk.r <= ratio * abs(disk.lam))
+            reps = verify_all(np.array([[lam]]), [pair, disk])
+            flags = [rep.refinement_flag for rep in reps if rep.refinement_flag is not None]
+            assert len(flags) == 4 and len(set(flags)) == 1
+    assert split > 0
+
+
 def test_weighted_gap_scalar_matrix():
     rep = eval_disk_gap_weighted(3.0 * np.eye(2), DiskCertificate(lam=3.0, r=0.5))
     assert rep.hypothesis_ok

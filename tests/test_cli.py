@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,7 +170,7 @@ def test_verify_segment_pair_at_small_scale_exits_zero(tmp_path, capsys):
 def test_verify_negative_slack_exits_one(s2_file, monkeypatch, capsys):
     bogus = InequalityReport(
         inequality_id="T2_2", hypothesis_ok=True, diagnostic="forged", lhs=1.0,
-        rhs=0.0, slack=-1.0, w=0.5, norm=1.0,
+        rhs=0.0, slack=-1.0, w=0.5, norm=1.0, scaled_slack=-1.0,
     )
     monkeypatch.setattr(cli, "verify_all", lambda *a, **k: [bogus])
     code = run_cli("verify", s2_file, "--lambda", "1,0", "--r", "2")
@@ -418,9 +419,9 @@ def test_sweep_lapack_calls_grow_with_chunks_not_trials(ensemble, monkeypatch):
     draw_calls = []
     draw = cli._draw
 
-    def counted_draw(cfg, seeds):
+    def counted_draw(*args):
         before = len(calls)
-        stack = draw(cfg, seeds)
+        stack = draw(*args)
         draw_calls.append(len(calls) - before)
         return stack
 
@@ -538,6 +539,75 @@ def test_verify_stderr_is_only_its_error_line_at_2_540(tmp_path):
                            "(a side of a passing bound exceeds the double range)\n")
     assert [json.loads(line)["inequality_id"] for line in proc.stdout.splitlines()] == [
         "C2_7", "C3_6", "C3_7", "C4_6"]
+
+
+# ------------------------------------------------------ power-of-two scaling
+
+# A number in a diagnostic, with the text that fixes its degree: 2 for the
+# sector check's minimum eigenvalue, 0 for a stated tolerance, else 1.
+_DIAG_NUMBER = re.compile(r"(min eig = |to )?([-+]?(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]\d+)?))")
+
+
+def _ldexp(x, k):
+    """x 2^k, inf where it overflows, as the program's sides do at 2^(2k)."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(float(x), k))
+
+
+def _printed(capsys, *argv):
+    code = run_cli(*argv)
+    return code, capsys.readouterr().out
+
+
+def _scaled_run(tmp_path, capsys, a, pair, k):
+    """compute's stdout and CSV rows and verify's reports for 2^k A and 2^k pair."""
+    path, csv = tmp_path / f"a{k}.json", tmp_path / f"a{k}.csv"
+    save_matrix(path, np.ldexp(1.0, k) * a)
+    code, out = _printed(capsys, "compute", path, "--out", csv)
+    assert code == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    phi, varphi = (f"{float(np.ldexp(z.real, k))!r},{float(np.ldexp(z.imag, k))!r}" for z in pair)
+    code, lines = _printed(capsys, "verify", path, "--auto", "--phi", phi, "--varphi", varphi)
+    return out.split(), rows, [json.loads(line) for line in lines.splitlines()], code
+
+
+@pytest.mark.parametrize("k", [400, -400, 498, -498, 540, -540])
+def test_every_printed_number_scales_exactly_by_powers_of_two(k, tmp_path, capsys):
+    # compute and verify --auto --phi --varphi print for 2^k A, with the
+    # pair times 2^k, 2^(d k) times each number they print for A: d is the
+    # row's degree for lhs, rhs and slack, and 1 for w, the norm, the CSV's
+    # points and supports, lambda and r. Each of those is one rounding of
+    # an exact value, beyond the double range too, so they are compared bit
+    # for bit; inf where 2^(2k) overflows at k = 540. The diagnostics print
+    # 12 significant digits (6 for the minimum eigenvalue), so their
+    # numbers are compared to that precision, with one subnormal to spare
+    # where 2^(2k) falls below the normal range at k = -540.
+    degree = {row.iid: row.d for row in bounds.ROWS}
+    pairs = [(1.0 + 0.5j, 0.5 - 0.25j)] * 3 + [(1.62 - 0.8j, 1.38 - 0.8j)]
+    for a, pair in zip(dense_kinds(7, n=5), pairs):
+        (out0, rows0, reps0, code0), (out, rows, reps, code) = (
+            _scaled_run(tmp_path, capsys, a, pair, s) for s in (0, k))
+        assert code0 == 0 and code in (0, 2)
+        assert [line.split("=")[0] for line in out] == ["w", "norm"]
+        for got, want in zip(out, out0):
+            assert float(got.split("=")[1]) == _ldexp(want.split("=")[1], k)
+        assert [row[0] for row in rows] == [row[0] for row in rows0]
+        assert [[float(x) for x in row[1:]] for row in rows] == [
+            [_ldexp(x, k) for x in row[1:]] for row in rows0]
+        assert len(reps) == len(reps0) > 0
+        for rep, rep0 in zip(reps, reps0):
+            same = ("inequality_id", "hypothesis_ok", "refinement_flag")
+            assert [rep.get(f) for f in same] == [rep0.get(f) for f in same]
+            d = degree[rep["inequality_id"]]
+            for field, dk in (("lhs", d * k), ("rhs", d * k), ("slack", d * k), ("w", k), ("norm", k)):
+                assert rep[field] == _ldexp(rep0[field], dk), (rep["inequality_id"], field)
+            diag, diag0 = _DIAG_NUMBER.split(rep["diagnostic"]), _DIAG_NUMBER.split(rep0["diagnostic"])
+            assert diag[::3] == diag0[::3]
+            for label, got, want in zip(diag0[1::3], diag[2::3], diag0[2::3]):
+                dk = {"min eig = ": 2 * k, "to ": 0}.get(label, k)
+                want = _ldexp(want, dk)
+                tol = 10.0 ** (1 - (6 if label == "min eig = " else 12)) * abs(want) + 2.0**-1074
+                assert float(got) == want or abs(float(got) - want) <= tol
 
 
 # --------------------------------------------------------------- round trip

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from numrad.bounds import OPERATOR_ORDER, check_disk, check_sector_hypothesis
+from numrad.bounds import OPERATOR_ORDER, DiskCertificate, SectorPair, check_disk, check_sector_hypothesis
 from numrad.extremal import (
     candidate_violations,
     gen_disk_instance,
@@ -20,10 +20,7 @@ from numrad.extremal import (
     _CHUNK,
     _LAMBDA_GRID,
     SearchResult,
-    _disk_stack,
-    _ginibre_stack,
-    _nilpotent_stack,
-    _segment_stack,
+    _draw,
 )
 from numrad.linalg import hermitian_eigen, operator_norm, shifted_norms
 from numrad.numrange import numerical_radius
@@ -194,12 +191,11 @@ def one_trial(ensemble, n, seed):
 
 
 STACKED = {
-    "disk": (lambda n, seeds: _disk_stack(1 + 0.5j, 0.4, n, seeds),
-             lambda n, seed: gen_disk_instance(1 + 0.5j, 0.4, n, seed)[0]),
-    "segment": (lambda n, seeds: _segment_stack(1.0, 3.0, n, seeds),
+    "disk": (DiskCertificate(1 + 0.5j, 0.4), lambda n, seed: gen_disk_instance(1 + 0.5j, 0.4, n, seed)[0]),
+    "segment": (SectorPair.from_segment(1.0, 3.0),
                 lambda n, seed: gen_segment_instance(1.0, 3.0, n, seed)[0]),
-    "ginibre": (_ginibre_stack, lambda n, seed: one_trial("ginibre", n, seed)),
-    "nilpotent": (_nilpotent_stack, gen_nilpotent_instance),
+    "ginibre": (None, lambda n, seed: one_trial("ginibre", n, seed)),
+    "nilpotent": (None, gen_nilpotent_instance),
 }
 
 
@@ -211,11 +207,11 @@ def test_stacked_draws_equal_the_public_generators_bit_for_bit(ensemble, n):
     # and the bytes of the per-trial formulas of the unstacked generators.
     if ensemble == "nilpotent" and n == 1:
         return
-    stacked, public = STACKED[ensemble]
+    cert, public = STACKED[ensemble]
     for chunk in (1, 64, 65):
         seeds = np.random.default_rng([n, chunk]).integers(0, 2**63, size=chunk, dtype=np.uint64)
         seeds = [int(s) for s in seeds]
-        got = stacked(n, seeds)
+        got = _draw(ensemble, cert, n, seeds)
         assert got.shape == (chunk, n, n)
         assert got.tobytes() == np.array([public(n, s) for s in seeds]).tobytes()
         assert got.tobytes() == np.array([one_trial(ensemble, n, s) for s in seeds]).tobytes()
@@ -288,6 +284,17 @@ def test_probe_best_dominates_raw_shift():
     res = probe_equality_case(2, 500, seed=1)
     _, _, s2_excess = candidate_violations(shift2(), 1.0)
     assert res.score <= s2_excess + 1e-12
+
+
+@pytest.mark.parametrize("search", [search_sqrt_disk, probe_equality_case])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_candidate_violations_recompute_a_search_result_bit_for_bit(search, n):
+    # candidate_violations is the one-candidate case of the search's own
+    # measure, so a result's fields recompute from its candidate and center
+    for seed in range(6):
+        res = search(n, 40, seed)
+        got = candidate_violations(res.candidate, res.lam)
+        assert got == (res.norm_dev, res.nilpotency, res.disk_excess)
 
 
 def _search_one_trial_at_a_time(n, iters, seed, lam_values, allowed):

@@ -175,17 +175,29 @@ def test_radius_matches_support_maximum():
 
 def fine_radius(a):
     """Max of support_values by a 4096-angle sweep, then two zoomed sweeps
-    of 2001 angles around each of the 3 best coarse angles."""
-    thetas = np.arange(4096) * (2.0 * np.pi / 4096)
+    of 2001 angles around the best angle and around every coarse local
+    maximum that its grid error could lift to the best value.
+
+    A peak lies within one grid spacing of a local maximum of the grid, and
+    rises above it by less than the drop to the lower neighbour (a quarter
+    of it on a parabola), so the zoom spans one spacing on each side. A drop
+    at the rounding level, as on the flat support function of a square-zero
+    matrix, leaves nothing to zoom.
+    """
+    h = 2.0 * np.pi / 4096
+    thetas = np.arange(4096) * h
     vals = support_values(a, thetas)
     best = float(vals.max())
-    half = np.pi / 4096
-    for t in thetas[np.argsort(-vals)[:3]]:
-        h = half
+    prev, nxt = np.roll(vals, 1), np.roll(vals, -1)
+    drop = np.maximum(vals - prev, vals - nxt)
+    rounding = 16 * a.shape[-1] * np.finfo(float).eps * abs(best)
+    peaks = (vals >= prev) & (vals >= nxt) & (vals + drop >= best) & (drop > rounding)
+    for t in thetas[np.union1d(np.flatnonzero(peaks), [np.argmax(vals)])]:
+        w = h
         for _ in range(2):
-            zoom = t + np.linspace(-h, h, 2001)
+            zoom = t + np.linspace(-w, w, 2001)
             zv = support_values(a, zoom)
-            t, h = zoom[int(np.argmax(zv))], h / 1000
+            t, w = zoom[int(np.argmax(zv))], w / 1000
             best = max(best, float(zv.max()))
     return best
 
@@ -280,7 +292,11 @@ def test_radius_near_the_norm_bound_margin_matches_fine_sweep(monkeypatch):
     # A normal or Hermitian A plus s G. With a simple top eigenvalue,
     # ||A|| - w(A) is of order s^2, so at s = 1e-7 the bound U sits near the
     # certified level: some draws are certified by it and some take the
-    # level-set test. Either way the radius is the fine sweep's.
+    # level-set test. Either way the radius is the fine sweep's. The normal
+    # base also comes with unit-modulus eigenvalues, the same G added: every
+    # eigenvalue is then a peak of nearly the height of the highest, and at
+    # n = 8, s = 1e-7 the highest lies between two coarse angles, half a
+    # grid spacing from the nearer one.
     rng = np.random.default_rng(61)
     tests = count_calls(monkeypatch, "eigvals")
     certified = []
@@ -288,9 +304,10 @@ def test_radius_near_the_norm_bound_margin_matches_fine_sweep(monkeypatch):
         u = random_unitary(n, rng)
         d = rng.uniform(0.5, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
         normal = (u * d) @ u.conj().T
+        unit = (u * (d / np.abs(d))) @ u.conj().T
         herm = (u * rng.uniform(-1.0, 1.0, n)) @ u.conj().T
-        for base in (normal, herm):
-            a = base + scale * rand_matrix(rng, n)
+        g = [scale * rand_matrix(rng, n) for _ in range(2)]
+        for a in (normal + g[0], unit + g[0], herm + g[1]):
             before = len(tests)
             w = numerical_radius(a)
             ref = fine_radius(a)
@@ -298,6 +315,17 @@ def test_radius_near_the_norm_bound_margin_matches_fine_sweep(monkeypatch):
             assert ref <= w * (1.0 + LEVEL_RTOL)
             certified.append(len(tests) == before)
     assert any(certified) and not all(certified)
+
+
+@pytest.mark.parametrize("n", [2, 4, 32])
+def test_zero_matrices_take_no_level_set_test(n, monkeypatch):
+    # Kittaneh's bound of a zero matrix is 0, so no level above it is left
+    # to test: the stack leaves before any solve, eigvals or midpoint.
+    calls = count_calls(monkeypatch, "eigvals", "solve", "cholesky")
+    w = numerical_radius(np.zeros((3, n, n), dtype=complex))
+    assert calls == []
+    assert w.tolist() == [0.0, 0.0, 0.0] and not np.signbit(w).any()
+    assert repr(numerical_radius(np.zeros((n, n)))) == "0.0"
 
 
 @pytest.mark.parametrize("spectrum", [(2.0, -2.0, 0.5), (1.0, -3.0, 0.2), (3.0, -1.0, 2.9)])
