@@ -28,7 +28,7 @@ from .bounds import (
     optimize_lambda,
     verify_all,
 )
-from .extremal import _draw, probe_equality_case, search_sqrt_disk
+from .extremal import _draw, _seed_rngs, probe_equality_case, search_sqrt_disk
 from .io import (
     load_matrix,
     reports_to_jsonl,
@@ -92,14 +92,14 @@ class SweepConfig:
 def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     """Run the ensemble and aggregate per-identifier slack statistics.
 
-    Trial i is drawn from its own seed. The trials are drawn and verified in
-    chunks of _CHUNK, with one _draw and one bound_table call per chunk, and
-    the table's row arrays are aggregated as they are. Every drawn matrix
-    equals its one-trial generator's, and every row entry the report that
-    verify_all gives its trial alone.
+    Trial i is drawn from default_rng of its own seed. The trials are drawn
+    and verified in chunks of _CHUNK, with one _seed_rngs, one _draw and one
+    bound_table call per chunk, and the table's row arrays are aggregated as
+    they are. Every drawn matrix equals its one-trial generator's, and every
+    row entry the report that verify_all gives its trial alone.
     """
-    seeds = np.random.default_rng(cfg.seed).integers(0, 2**63, size=cfg.trials, dtype=np.uint64).tolist()
-    chunks = [bound_table(_draw(cfg.ensemble, cfg.cert, cfg.n, seeds[i:i + _CHUNK]), cfg.cert)
+    seeds = np.random.default_rng(cfg.seed).integers(0, 2**63, size=cfg.trials, dtype=np.uint64)
+    chunks = [bound_table(_draw(cfg.ensemble, cfg.cert, cfg.n, _seed_rngs(seeds[i:i + _CHUNK])), cfg.cert)
               for i in range(0, cfg.trials, _CHUNK)]
     rows, violations = [], 0
     for parts in zip(*chunks):

@@ -2,15 +2,23 @@
 
 Generators manufacture matrices that satisfy a certificate hypothesis by
 construction, for ensemble sweeps. One private `_draw` draws every ensemble,
-a chunk of seeds at a time for the sweep and one seed for each gen_*
+a chunk of trial generators at a time for the sweep and one for each gen_*
 generator. The searches probe two questions about unit-norm operators with
 orthogonal ranges (equivalently T^2 = 0): how close ||T - lambda I|| can get
 to sqrt(|lambda|), and how close ||T - I|| can get to 1. Both report the
 best violation score found and assert nothing.
+
+Every trial draws from np.random.default_rng of its own seed, or of [seed,
+trial] in a search. The sweep and the searches build a chunk's generators
+at once with `_rngs`, which runs numpy's SeedSequence hash over the whole
+chunk and gives each trial the state default_rng gives it, bit for bit; a
+one-seed generator takes default_rng itself, which is cheaper for one row.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +47,12 @@ _LAMBDA_GRID = np.geomspace(0.0625, 4.0, 25)
 # Trials measured together by the searches, one stacked norm call per
 # quantity. At 256 the search's peak memory grew by 13% for a gain within 3%.
 _CHUNK = 64
+# numpy's SeedSequence (NEP 19): its pool of 32-bit words, the constants of
+# its entropy hash and mix, and those of generate_state.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHERS = [[d for d in range(_POOL) if d != s] for s in range(_POOL)]
 
 
 def shift2() -> np.ndarray:
@@ -87,7 +101,7 @@ def gen_disk_instance(lam, r, n, seed) -> tuple[np.ndarray, DiskCertificate]:
     by construction. Deterministic per seed.
     """
     cert = DiskCertificate(lam=lam, r=r)
-    return _draw("disk", cert, n, [seed])[0], cert
+    return _draw("disk", cert, n, [np.random.default_rng(seed)])[0], cert
 
 
 def gen_segment_instance(m, M, n, seed) -> tuple[np.ndarray, SectorPair]:
@@ -98,7 +112,7 @@ def gen_segment_instance(m, M, n, seed) -> tuple[np.ndarray, SectorPair]:
     passes the operator-order sector check by construction.
     """
     pair = SectorPair.from_segment(m, M)
-    return _draw("segment", pair, n, [seed])[0], pair
+    return _draw("segment", pair, n, [np.random.default_rng(seed)])[0], pair
 
 
 def gen_nilpotent_instance(n, seed) -> np.ndarray:
@@ -108,23 +122,23 @@ def gen_nilpotent_instance(n, seed) -> np.ndarray:
     strictly lower triangular matrix whose square vanishes identically (an
     elementwise strictly triangular fill would not square to zero for n > 2).
     """
-    return _draw("nilpotent", None, n, [seed])[0]
+    return _draw("nilpotent", None, n, [np.random.default_rng(seed)])[0]
 
 
-def _draw(ensemble, cert, n, seeds) -> np.ndarray:
-    """The matrices of a sweep ensemble, one per seed, as a stack (B, n, n).
+def _draw(ensemble, cert, n, rngs) -> np.ndarray:
+    """The matrices of a sweep ensemble, one per generator, as a stack (B, n, n).
 
     disk and segment draw what gen_disk_instance and gen_segment_instance
     draw, for the disk certificate or the real segment pair cert; nilpotent
     what gen_nilpotent_instance draws, and ginibre a unit-norm Ginibre
-    matrix, for any cert. Each trial draws from default_rng of its seed with
-    one ginibre call, in the order of a one-trial draw. The stack is then
-    finished in one pass: one stacked norm call normalises the disk, ginibre
-    and nilpotent draws, and one batched QR makes the segment draws'
+    matrix, for any cert. Each trial draws from its own generator (the
+    sweep builds them with `_seed_rngs`, a gen_* generator with default_rng)
+    with one ginibre call, in the order of a one-trial draw. The stack is
+    then finished in one pass: one stacked norm call normalises the disk,
+    ginibre and nilpotent draws, and one batched QR makes the segment draws'
     unitaries. So a matrix does not depend on the stack it is drawn in.
     """
     n = int(n)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     if ensemble == "segment":
         m, M = cert.segment()
         if not (0 < m <= M) or n < 1:
@@ -147,6 +161,114 @@ def _draw(ensemble, cert, n, seeds) -> np.ndarray:
         return t
     u = np.array([rng.uniform() for rng in rngs])
     return cert.lam * np.eye(n, dtype=complex) + (u * cert.r)[:, None, None] * t
+
+
+def _seed_words(seed) -> list[int]:
+    """The little-endian 32-bit words SeedSequence takes from the int seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
+def _words(values) -> tuple[np.ndarray, np.ndarray]:
+    """(words, length): the (B, 2) uint32 words of a uint64 array, low word
+    first, and how many of them SeedSequence takes from each value (1 or 2)."""
+    values = np.asarray(values, np.uint64)
+    high = values >> np.uint64(32)
+    return np.stack([values, high], axis=-1).astype(np.uint32), 1 + (high != 0)
+
+
+@functools.cache
+def _seed_type() -> type:
+    """An ISeedSequence that hands PCG64 the words generate_state(4, np.uint64)
+    gave. Built on first use: subclassing at import would import numpy.random,
+    about 20 ms of a fresh process that draws nothing, such as compute."""
+
+    class Seed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return Seed
+
+
+def _consts(init, mult, count) -> np.ndarray:
+    """init, init mult, init mult^2, ... mod 2^32: the count + 1 hash
+    constants of SeedSequence's successive hash calls."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, np.uint32)
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix of value, given its hash constant and the next."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ (value >> np.uint32(16))
+
+
+def _rngs(entropy, length=None) -> list[np.random.Generator]:
+    """np.random.default_rng(row[:m]) for each row of entropy, bit for bit.
+
+    entropy is a (B, k) uint32 array of SeedSequence entropy words, one row
+    per generator, and m the row's entry of length (default k); the words
+    after a row's m must be 0. This runs SeedSequence's mix_entropy and
+    generate_state(4, np.uint64) once for the chunk, in uint32 arithmetic,
+    which wraps mod 2^32 as the reference does. Hash constants depend only
+    on how many hash calls came before, so they are shared by the rows. A
+    row shorter than the pool hashes 0 for its missing words, which are the
+    zeros it is padded with; the words beyond the pool are mixed in only
+    where the row has them. Each row's 4 state words then seed a PCG64
+    through `_seed_type`. One row costs several times default_rng, but a
+    chunk of 64 costs a fraction of it per trial.
+    """
+    entropy = np.asarray(entropy, np.uint32)
+    b, k = entropy.shape
+    length = None if length is None else np.asarray(length)
+    width = max(k, _POOL)
+    words = np.zeros((b, width), np.uint32)
+    words[:, :k] = entropy
+    h = _consts(_INIT_A, _MULT_A, _POOL * width)
+    pool = _hashmix(words[:, :_POOL], h[:_POOL], h[1:_POOL + 1])
+    c = _POOL
+    for src, dst in enumerate(_OTHERS):
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], h[c:c + 3], h[c + 1:c + 4]))
+        c += 3
+    for src in range(_POOL, width):
+        mixed = _mix(pool, _hashmix(words[:, src, None], h[c:c + _POOL], h[c + 1:c + _POOL + 1]))
+        pool = mixed if length is None else np.where((src < length)[:, None], mixed, pool)
+        c += _POOL
+    g = _consts(_INIT_B, _MULT_B, 2 * _POOL)
+    state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], g[:-1], g[1:])
+    state = np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64)
+    seed = _seed_type()
+    return [np.random.Generator(np.random.PCG64(seed(row))) for row in state]
+
+
+def _seed_rngs(seeds) -> list[np.random.Generator]:
+    """np.random.default_rng(seed) for each seed of the uint64 array seeds,
+    bit for bit, from one `_rngs` call."""
+    return _rngs(*_words(seeds))
+
+
+def _trial_rngs(seed, trials) -> list[np.random.Generator]:
+    """np.random.default_rng([seed, trial]) for each trial of the uint64 array
+    trials, bit for bit, from one `_rngs` call."""
+    head = np.array(_seed_words(seed), np.uint32)
+    words, length = _words(trials)
+    return _rngs(np.hstack([np.broadcast_to(head, (len(words), len(head))), words]), len(head) + length)
 
 
 def _fill_square_zero(t: np.ndarray, rng: np.random.Generator) -> None:
@@ -198,12 +320,13 @@ def _violations(ts: np.ndarray, lam_values, allowed):
 def _search(n, iters, seed, lam_values, allowed) -> SearchResult:
     """Random-restart search over unit-norm square-zero candidates.
 
-    Each trial derives its own generator from (seed, trial index), draws a
-    block strictly lower triangular Ginibre candidate normalized to unit
-    norm, and picks the center in lam_values minimizing the disk excess over
-    its allowed radius. Pure restart, no local polish: the feasible set may
-    be empty, so wide coverage matters more than refinement. Trials are
-    measured in chunks of _CHUNK, one stacked norm call per quantity; the
+    Each trial draws from default_rng([seed, trial]) a block strictly lower
+    triangular Ginibre candidate normalized to unit norm, and picks the
+    center in lam_values minimizing the disk excess over its allowed radius.
+    Pure restart, no local polish: the feasible set may be empty, so wide
+    coverage matters more than refinement. Trials run in chunks of _CHUNK:
+    one `_trial_rngs` call builds a chunk's generators, equal to
+    default_rng's bit for bit, and one stacked norm call measures each quantity; the
     results equal those of one trial at a time bit for bit. Returns the
     lowest-score result, ties resolved to the earliest trial.
     """
@@ -215,9 +338,10 @@ def _search(n, iters, seed, lam_values, allowed) -> SearchResult:
         raise ValueError("need iters >= 1")
     best: SearchResult | None = None
     for start in range(0, iters, _CHUNK):
-        ts = np.zeros((min(_CHUNK, iters - start), n, n), dtype=complex)
-        for trial, t in enumerate(ts, start):
-            _fill_square_zero(t, np.random.default_rng([seed, trial]))
+        rngs = _trial_rngs(seed, np.arange(start, min(start + _CHUNK, iters), dtype=np.uint64))
+        ts = np.zeros((len(rngs), n, n), dtype=complex)
+        for t, rng in zip(ts, rngs):
+            _fill_square_zero(t, rng)
         nrm = _spectral_norms(ts)
         keep = nrm != 0.0
         if not keep.any():

@@ -187,7 +187,7 @@ def test_c06_ratio_and_weighted_soundness():
             nrm = operator_norm(t)
             rep_root, rep_sq = eval_radius_ratio(t, cert, w=w, norm=nrm)
             rep_wt = eval_disk_gap_weighted(t, cert, w=w, norm=nrm)
-            expected_flag = cert.r / abs(cert.lam) <= SQRT3_HALF
+            expected_flag = cert.r <= SQRT3_HALF * abs(cert.lam)
             for rep in (rep_root, rep_sq, rep_wt):
                 total += 1
                 if not rep.hypothesis_ok or rep.slack < -SLACK_TOL:

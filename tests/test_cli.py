@@ -456,6 +456,18 @@ def test_search_equality_deterministic(capsys):
     assert json.loads(first)["lambda"] == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--problem", "--n=2", "--iters=5"],
+    ["search", "--equality", "--n=3", "--iters=70"],
+    ["sweep", "--ensemble=disk", "--n=2", "--trials=3", "--lambda=1,0", "--r=0.5"],
+])
+def test_negative_seed_exits_2_with_default_rngs_message(argv, capsys):
+    # default_rng rejects a negative seed; the search's chunked generators
+    # reject it with the same message before they split it into words
+    assert run_cli(*argv, "--seed=-1") == 2
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
 # --------------------------------------------------------------------- plot
 
 
@@ -510,14 +522,26 @@ def test_one_parser_serves_every_call_without_leaking_state(s2_file, monkeypatch
 # ----------------------------------------------------------- entry points
 
 
-def run_module(*argv):
-    """`python -m numrad argv` in a fresh process, with its output captured as text."""
+def run_python(*argv):
+    """`python argv` in a fresh process, with its output captured as text."""
     # pytest's pythonpath setting does not reach a subprocess, so src/ is
     # put on its PYTHONPATH: the test then runs from a bare checkout too.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "numrad", *map(str, argv)],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True, env=env)
+
+
+def run_module(*argv):
+    """`python -m numrad argv` in a fresh process, with its output captured as text."""
+    return run_python("-m", "numrad", *argv)
+
+
+def test_importing_numrad_leaves_numpy_random_unimported():
+    # A process that draws nothing, such as compute or verify, does not pay
+    # for importing numpy.random: the search's and the sweep's chunked
+    # generators build their seed type on first use.
+    proc = run_python("-c", "import sys, numrad.cli; print('numpy.random' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_module_is_executable(s2_file):

@@ -21,6 +21,10 @@ from numrad.extremal import (
     _LAMBDA_GRID,
     SearchResult,
     _draw,
+    _rngs,
+    _seed_rngs,
+    _seed_words,
+    _trial_rngs,
 )
 from numrad.linalg import hermitian_eigen, operator_norm, shifted_norms
 from numrad.numrange import numerical_radius
@@ -98,9 +102,8 @@ class ZeroMix(np.random.Generator):
         return 0.0
 
 
-def test_disk_instance_with_zero_mix_is_scalar(monkeypatch):
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroMix(np.random.PCG64(seed)))
-    t, _ = gen_disk_instance(2.0 + 0j, 0.5, 3, 3)
+def test_disk_instance_with_zero_mix_is_scalar():
+    t = _draw("disk", DiskCertificate(2.0 + 0j, 0.5), 3, [ZeroMix(np.random.PCG64(3))])[0]
     assert np.array_equal(t, 2.0 * np.eye(3))
 
 
@@ -211,7 +214,7 @@ def test_stacked_draws_equal_the_public_generators_bit_for_bit(ensemble, n):
     for chunk in (1, 64, 65):
         seeds = np.random.default_rng([n, chunk]).integers(0, 2**63, size=chunk, dtype=np.uint64)
         seeds = [int(s) for s in seeds]
-        got = _draw(ensemble, cert, n, seeds)
+        got = _draw(ensemble, cert, n, [np.random.default_rng(s) for s in seeds])
         assert got.shape == (chunk, n, n)
         assert got.tobytes() == np.array([public(n, s) for s in seeds]).tobytes()
         assert got.tobytes() == np.array([one_trial(ensemble, n, s) for s in seeds]).tobytes()
@@ -227,6 +230,55 @@ def test_ginibre_block_draws_the_stream_of_the_old_fill_formula():
             assert new.random() == old.random()
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     assert ginibre(3, rng).tobytes() == _complex_normal((3, 3), ref).tobytes()
+
+
+# ------------------------------------------------------- chunked generators
+
+
+def assert_same_generators(got, entropies):
+    assert len(got) == len(entropies)
+    for rng, entropy in zip(got, entropies):
+        assert rng.bit_generator.state == np.random.default_rng(entropy).bit_generator.state
+
+
+def test_chunk_generators_equal_default_rng_on_random_seeds():
+    seeds = np.random.default_rng(1901).integers(0, 2**64, size=2000, dtype=np.uint64)
+    got = _seed_rngs(seeds)
+    assert_same_generators(got, seeds.tolist())
+    # the streams, not only the states, are numpy's
+    want = np.random.default_rng(int(seeds[0])).standard_normal(5)
+    assert got[0].standard_normal(5).tobytes() == want.tobytes()
+
+
+def test_chunk_generators_equal_default_rng_on_edge_seeds():
+    # rows of 1 to 5 words, zero-padded to the widest: a row within the pool
+    # of 4 hashes its padding as SeedSequence hashes its missing words, and
+    # a longer row mixes in only the words it has
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**96 + 5, 2**128 + 1]
+    rows = [_seed_words(seed) for seed in seeds]
+    entropy = np.zeros((len(rows), max(map(len, rows))), np.uint32)
+    for e, row in zip(entropy, rows):
+        e[:len(row)] = row
+    assert [len(row) for row in rows] == [1, 1, 1, 2, 2, 2, 4, 5]
+    assert_same_generators(_rngs(entropy, [len(row) for row in rows]), seeds)
+    assert_same_generators(_rngs(entropy[:-1, :4]), seeds[:-1])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40, 2**100 + 1])
+def test_trial_generators_equal_default_rng_of_seed_and_trial(seed):
+    # 2^100 + 1 has 4 words, so its rows take SeedSequence's loop past the
+    # pool, with 5 words for a one-word trial and 6 for 2^32
+    trials = [0, 63, 64, 2**32 - 1, 2**32]
+    got = _trial_rngs(seed, np.array(trials, np.uint64))
+    assert_same_generators(got, [[seed, trial] for trial in trials])
+
+
+def test_seed_words_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _seed_words(-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng([-1, 0])
+    assert _seed_words(2**64) == [0, 0, 1]
 
 
 # ------------------------------------------------------------------ searches
