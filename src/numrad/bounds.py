@@ -156,7 +156,8 @@ class DiskCertificate:
 
     rho, when present, additionally claims | |lam| - w(T) | >= rho. Whether
     the claims hold for a given matrix is measured by the checkers; the
-    constructor only rejects structurally impossible values.
+    constructor only rejects structurally impossible values, non-finite ones
+    among them.
     """
 
     lam: complex
@@ -166,10 +167,10 @@ class DiskCertificate:
     def __post_init__(self):
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "r", float(self.r))
-        if self.lam == 0:
-            raise ValueError("certificate center lambda must be nonzero")
-        if not self.r > 0:
-            raise ValueError(f"certificate radius must be positive, got {self.r!r}")
+        if self.lam == 0 or not np.isfinite(self.lam):
+            raise ValueError(f"certificate center lambda must be finite and nonzero, got {self.lam!r}")
+        if not 0 < self.r < np.inf:
+            raise ValueError(f"certificate radius must be finite and positive, got {self.r!r}")
         if self.rho is not None:
             rho = float(self.rho)
             if not (np.isfinite(rho) and rho >= 0):
@@ -183,7 +184,8 @@ class SectorPair:
 
     mode selects how B = (A* - conj(varphi) I)(phi I - A) is tested:
     ACCRETIVE requires the Hermitian part of B to be positive semidefinite,
-    OPERATOR_ORDER additionally requires B itself to be self-adjoint.
+    OPERATOR_ORDER additionally requires B itself to be self-adjoint. Both
+    endpoints must be finite.
     """
 
     phi: complex
@@ -193,6 +195,8 @@ class SectorPair:
     def __post_init__(self):
         object.__setattr__(self, "phi", complex(self.phi))
         object.__setattr__(self, "varphi", complex(self.varphi))
+        if not np.isfinite([self.phi, self.varphi]).all():
+            raise ValueError(f"sector endpoints must be finite, got phi={self.phi!r}, varphi={self.varphi!r}")
         if self.mode not in (ACCRETIVE, OPERATOR_ORDER):
             raise ValueError(f"unknown sector mode {self.mode!r}")
 

@@ -28,7 +28,7 @@ from .bounds import (
     optimize_lambda,
     verify_all,
 )
-from .extremal import _draw, _seed_rngs, probe_equality_case, search_sqrt_disk
+from .extremal import _stacks, probe_equality_case, search_sqrt_disk
 from .io import (
     load_matrix,
     reports_to_jsonl,
@@ -39,9 +39,6 @@ from .io import (
 from .numrange import BOUNDARY_GRID, range_summary
 
 ENSEMBLES = ("disk", "segment", "ginibre", "nilpotent")
-# Sweep trials drawn and verified together: one draw call and one
-# bound_table call per chunk.
-_CHUNK = 64
 
 
 def parse_complex(text: str) -> complex:
@@ -92,15 +89,14 @@ class SweepConfig:
 def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     """Run the ensemble and aggregate per-identifier slack statistics.
 
-    Trial i is drawn from default_rng of its own seed. The trials are drawn
-    and verified in chunks of _CHUNK, with one _seed_rngs, one _draw and one
+    Trial i is drawn from default_rng of its own seed. The trials come a
+    chunk at a time from extremal's one trial pipeline, `_stacks`, with one
     bound_table call per chunk, and the table's row arrays are aggregated as
     they are. Every drawn matrix equals its one-trial generator's, and every
     row entry the report that verify_all gives its trial alone.
     """
     seeds = np.random.default_rng(cfg.seed).integers(0, 2**63, size=cfg.trials, dtype=np.uint64)
-    chunks = [bound_table(_draw(cfg.ensemble, cfg.cert, cfg.n, _seed_rngs(seeds[i:i + _CHUNK])), cfg.cert)
-              for i in range(0, cfg.trials, _CHUNK)]
+    chunks = [bound_table(stack, cfg.cert) for stack in _stacks(cfg.ensemble, cfg.cert, cfg.n, (), seeds)]
     rows, violations = [], 0
     for parts in zip(*chunks):
         defined, ok, slack, violated = (

@@ -1,18 +1,18 @@
 """Instance generators, golden operators, and extremal random searches.
 
 Generators manufacture matrices that satisfy a certificate hypothesis by
-construction, for ensemble sweeps. One private `_draw` draws every ensemble,
-a chunk of trial generators at a time for the sweep and one for each gen_*
-generator. The searches probe two questions about unit-norm operators with
-orthogonal ranges (equivalently T^2 = 0): how close ||T - lambda I|| can get
-to sqrt(|lambda|), and how close ||T - I|| can get to 1. Both report the
-best violation score found and assert nothing.
+construction, for ensemble sweeps. The searches probe two questions about
+unit-norm operators with orthogonal ranges (equivalently T^2 = 0): how close
+||T - lambda I|| can get to sqrt(|lambda|), and how close ||T - I|| can get
+to 1. Both report the best violation score found and assert nothing.
 
-Every trial draws from np.random.default_rng of its own seed, or of [seed,
-trial] in a search. The sweep and the searches build a chunk's generators
-at once with `_rngs`, which runs numpy's SeedSequence hash over the whole
-chunk and gives each trial the state default_rng gives it, bit for bit; a
-one-seed generator takes default_rng itself, which is cheaper for one row.
+One pipeline draws the trials of the sweep and of the searches: `_stacks`
+splits them into chunks of _CHUNK, `_rngs` builds a chunk's generators in
+one pass of numpy's SeedSequence hash, trial i's equal to
+np.random.default_rng([*head, values[i]]) bit for bit (default_rng(seed) in
+the sweep, default_rng([seed, trial]) in a search), and `_draw` draws the
+chunk's stack. A one-seed gen_* generator calls `_draw` with default_rng
+itself, which is cheaper for one row.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import DiskCertificate, SectorPair
-from .linalg import _spectral_norms, as_matrix, shifted_norms
+from .linalg import _spectral_norms, as_matrix, pow2_scaled, shifted_norms
 
 __all__ = [
     "SearchResult",
@@ -44,8 +44,9 @@ __all__ = [
 # lie in roughly [0.38, 2.62] for a unit-norm candidate; the grid brackets
 # that range generously.
 _LAMBDA_GRID = np.geomspace(0.0625, 4.0, 25)
-# Trials measured together by the searches, one stacked norm call per
-# quantity. At 256 the search's peak memory grew by 13% for a gain within 3%.
+# Trials drawn and measured together by the sweep and the searches: one
+# `_rngs` and one `_draw` call per chunk, then one stacked norm or bound_table
+# call. At 256 the search's peak memory grew by 13% for a gain within 3%.
 _CHUNK = 64
 # numpy's SeedSequence (NEP 19): its pool of 32-bit words, the constants of
 # its entropy hash and mix, and those of generate_state.
@@ -65,9 +66,10 @@ def orthogonal_ranges_check(t) -> bool:
 
     For matrices this is the same as T^2 = 0: <Tf, T*g> = <T^2 f, g> for all
     f and g, so the ranges are orthogonal exactly when T^2 vanishes. Tested
-    relative to the scale of T, as ||T^2||_F <= 1e-10 * ||T||_F^2.
+    relative to the scale of T, as ||T^2||_F <= 1e-10 * ||T||_F^2 on T scaled
+    by a power of two, so the verdict for 2^k T is that for T.
     """
-    t = as_matrix(t)
+    t = pow2_scaled(as_matrix(t))[0]
     sq = float(np.linalg.norm(t @ t))
     return sq <= 1e-10 * float(np.linalg.norm(t)) ** 2
 
@@ -131,12 +133,13 @@ def _draw(ensemble, cert, n, rngs) -> np.ndarray:
     disk and segment draw what gen_disk_instance and gen_segment_instance
     draw, for the disk certificate or the real segment pair cert; nilpotent
     what gen_nilpotent_instance draws, and ginibre a unit-norm Ginibre
-    matrix, for any cert. Each trial draws from its own generator (the
-    sweep builds them with `_seed_rngs`, a gen_* generator with default_rng)
-    with one ginibre call, in the order of a one-trial draw. The stack is
-    then finished in one pass: one stacked norm call normalises the disk,
-    ginibre and nilpotent draws, and one batched QR makes the segment draws'
-    unitaries. So a matrix does not depend on the stack it is drawn in.
+    matrix, for any cert; the searches draw nilpotent stacks too. Each trial
+    draws from its own generator (a chunk's from `_stacks`, a gen_*
+    generator's from default_rng) with one ginibre call, in the order of a
+    one-trial draw. The stack is then finished in one pass: one stacked norm
+    call normalises the disk, ginibre and nilpotent draws, and one batched
+    QR makes the segment draws' unitaries. So a matrix does not depend on
+    the stack it is drawn in.
     """
     n = int(n)
     if ensemble == "segment":
@@ -153,7 +156,8 @@ def _draw(ensemble, cert, n, rngs) -> np.ndarray:
     if ensemble == "nilpotent":
         t = np.zeros((len(rngs), n, n), dtype=complex)
         for ti, rng in zip(t, rngs):
-            _fill_square_zero(ti, rng)
+            k = int(rng.integers(1, n))
+            ti[k:, :k] = ginibre((n - k, k), rng)
     else:
         t = np.array([ginibre(n, rng) for rng in rngs])
     t /= _spectral_norms(t)[:, None, None]
@@ -161,6 +165,13 @@ def _draw(ensemble, cert, n, rngs) -> np.ndarray:
         return t
     u = np.array([rng.uniform() for rng in rngs])
     return cert.lam * np.eye(n, dtype=complex) + (u * cert.r)[:, None, None] * t
+
+
+def _stacks(ensemble, cert, n, head, values):
+    """The `_draw` stack of each chunk of _CHUNK trials, trial i drawn from
+    default_rng([*head, values[i]]) through one `_rngs` call per chunk."""
+    for start in range(0, len(values), _CHUNK):
+        yield _draw(ensemble, cert, n, _rngs(head, values[start:start + _CHUNK]))
 
 
 def _seed_words(seed) -> list[int]:
@@ -172,14 +183,6 @@ def _seed_words(seed) -> list[int]:
     while seed := seed >> 32:
         words.append(seed & 0xFFFFFFFF)
     return words
-
-
-def _words(values) -> tuple[np.ndarray, np.ndarray]:
-    """(words, length): the (B, 2) uint32 words of a uint64 array, low word
-    first, and how many of them SeedSequence takes from each value (1 or 2)."""
-    values = np.asarray(values, np.uint64)
-    high = values >> np.uint64(32)
-    return np.stack([values, high], axis=-1).astype(np.uint32), 1 + (high != 0)
 
 
 @functools.cache
@@ -219,27 +222,29 @@ def _mix(x, y):
     return value ^ (value >> np.uint32(16))
 
 
-def _rngs(entropy, length=None) -> list[np.random.Generator]:
-    """np.random.default_rng(row[:m]) for each row of entropy, bit for bit.
+def _rngs(head, values) -> list[np.random.Generator]:
+    """np.random.default_rng([*head, v]) for each v of the uint64 array values,
+    bit for bit; head is a list of 32-bit words, such as `_seed_words(seed)`.
 
-    entropy is a (B, k) uint32 array of SeedSequence entropy words, one row
-    per generator, and m the row's entry of length (default k); the words
-    after a row's m must be 0. This runs SeedSequence's mix_entropy and
-    generate_state(4, np.uint64) once for the chunk, in uint32 arithmetic,
-    which wraps mod 2^32 as the reference does. Hash constants depend only
-    on how many hash calls came before, so they are shared by the rows. A
-    row shorter than the pool hashes 0 for its missing words, which are the
-    zeros it is padded with; the words beyond the pool are mixed in only
-    where the row has them. Each row's 4 state words then seed a PCG64
-    through `_seed_type`. One row costs several times default_rng, but a
-    chunk of 64 costs a fraction of it per trial.
+    Row i of the entropy is head, then the low and (when nonzero) the high
+    word of values[i], as SeedSequence splits them. This runs SeedSequence's
+    mix_entropy and generate_state(4, np.uint64) once for the chunk, in
+    uint32 arithmetic, which wraps mod 2^32 as the reference does. Hash
+    constants depend only on how many hash calls came before, so they are
+    shared by the rows. A row shorter than the pool hashes 0 for its missing
+    words, which are the zeros it is padded with; the words beyond the pool
+    are mixed in only where the row has them. Each row's 4 state words then
+    seed a PCG64 through `_seed_type`. One row costs several times
+    default_rng, but a chunk of 64 costs a fraction of it per trial.
     """
-    entropy = np.asarray(entropy, np.uint32)
-    b, k = entropy.shape
-    length = None if length is None else np.asarray(length)
-    width = max(k, _POOL)
-    words = np.zeros((b, width), np.uint32)
-    words[:, :k] = entropy
+    values = np.asarray(values, np.uint64)
+    high = values >> np.uint64(32)
+    k = len(head)
+    length = k + 1 + (high != 0)
+    width = max(k + 2, _POOL)
+    words = np.zeros((len(values), width), np.uint32)
+    words[:, :k] = head
+    words[:, k:k + 2] = np.stack([values, high], axis=-1).astype(np.uint32)
     h = _consts(_INIT_A, _MULT_A, _POOL * width)
     pool = _hashmix(words[:, :_POOL], h[:_POOL], h[1:_POOL + 1])
     c = _POOL
@@ -248,7 +253,7 @@ def _rngs(entropy, length=None) -> list[np.random.Generator]:
         c += 3
     for src in range(_POOL, width):
         mixed = _mix(pool, _hashmix(words[:, src, None], h[c:c + _POOL], h[c + 1:c + _POOL + 1]))
-        pool = mixed if length is None else np.where((src < length)[:, None], mixed, pool)
+        pool = np.where((src < length)[:, None], mixed, pool)
         c += _POOL
     g = _consts(_INIT_B, _MULT_B, 2 * _POOL)
     state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], g[:-1], g[1:])
@@ -256,26 +261,6 @@ def _rngs(entropy, length=None) -> list[np.random.Generator]:
     seed = _seed_type()
     return [np.random.Generator(np.random.PCG64(seed(row))) for row in state]
 
-
-def _seed_rngs(seeds) -> list[np.random.Generator]:
-    """np.random.default_rng(seed) for each seed of the uint64 array seeds,
-    bit for bit, from one `_rngs` call."""
-    return _rngs(*_words(seeds))
-
-
-def _trial_rngs(seed, trials) -> list[np.random.Generator]:
-    """np.random.default_rng([seed, trial]) for each trial of the uint64 array
-    trials, bit for bit, from one `_rngs` call."""
-    head = np.array(_seed_words(seed), np.uint32)
-    words, length = _words(trials)
-    return _rngs(np.hstack([np.broadcast_to(head, (len(words), len(head))), words]), len(head) + length)
-
-
-def _fill_square_zero(t: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill the zero matrix t with a Ginibre block below a random diagonal split."""
-    n = t.shape[-1]
-    k = int(rng.integers(1, n))
-    t[k:, :k] = ginibre((n - k, k), rng)
 
 
 @dataclass(frozen=True)
@@ -324,29 +309,17 @@ def _search(n, iters, seed, lam_values, allowed) -> SearchResult:
     triangular Ginibre candidate normalized to unit norm, and picks the
     center in lam_values minimizing the disk excess over its allowed radius.
     Pure restart, no local polish: the feasible set may be empty, so wide
-    coverage matters more than refinement. Trials run in chunks of _CHUNK:
-    one `_trial_rngs` call builds a chunk's generators, equal to
-    default_rng's bit for bit, and one stacked norm call measures each quantity; the
-    results equal those of one trial at a time bit for bit. Returns the
-    lowest-score result, ties resolved to the earliest trial.
+    coverage matters more than refinement. Trials run through `_stacks`, a
+    chunk of _CHUNK at a time, and one stacked norm call measures each
+    quantity of a chunk; the results equal those of one trial at a time bit
+    for bit. Returns the lowest-score result, ties resolved to the earliest
+    trial.
     """
-    n = int(n)
     iters = int(iters)
-    if n < 2:
-        raise ValueError("need n >= 2")
     if iters < 1:
         raise ValueError("need iters >= 1")
     best: SearchResult | None = None
-    for start in range(0, iters, _CHUNK):
-        rngs = _trial_rngs(seed, np.arange(start, min(start + _CHUNK, iters), dtype=np.uint64))
-        ts = np.zeros((len(rngs), n, n), dtype=complex)
-        for t, rng in zip(ts, rngs):
-            _fill_square_zero(t, rng)
-        nrm = _spectral_norms(ts)
-        keep = nrm != 0.0
-        if not keep.any():
-            continue
-        ts = ts[keep] / nrm[keep, None, None]
+    for ts in _stacks("nilpotent", None, n, _seed_words(seed), range(iters)):
         norm_dev, nilpotency, excess = _violations(ts, lam_values, allowed)
         j = np.argmin(excess, axis=-1)
         disk_excess = excess.min(axis=-1)

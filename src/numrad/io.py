@@ -58,7 +58,10 @@ def obj_to_matrix(obj) -> np.ndarray:
         for j, pair in enumerate(row):
             if not isinstance(pair, list) or len(pair) != 2 or not all(_is_number(v) for v in pair):
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] number pair")
-            out[i, j] = complex(pair[0], pair[1])
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise ValueError(f"entry ({i},{j}) is beyond the double range") from None
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")
     return out

@@ -71,6 +71,18 @@ def test_certificate_validation():
         DiskCertificate(lam=1.0, r=-2.0)
     with pytest.raises(InvalidRho):
         DiskCertificate(lam=1.0, r=1.0, rho=-0.1)
+    # no non-finite value: the checks would print NaN reports or warn
+    for lam in (np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            DiskCertificate(lam=lam, r=1.0)
+    for r in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            DiskCertificate(lam=1.0, r=r)
+    for phi, varphi in ((np.inf, 1.0), (1.0, np.nan), (complex(1.0, np.inf), 1.0)):
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            SectorPair(phi=phi, varphi=varphi)
+    with pytest.raises(ValueError, match="endpoints must be finite"):
+        SectorPair.from_segment(1.0, np.inf)
     cert = DiskCertificate(lam=1 + 2j, r=0.5, rho=0.25)
     assert cert.lam == 1 + 2j and cert.r == 0.5 and cert.rho == 0.25
 

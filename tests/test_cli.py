@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import numrad.cli as cli
-from numrad import bounds
+from numrad import bounds, extremal
 from numrad.bounds import (
     ACCRETIVE,
     OPERATOR_ORDER,
@@ -193,6 +193,10 @@ def test_bad_schema_exits_two(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 2, "entries": [[[0, 0]]]}))
     assert run_cli("compute", bad) == 2
     capsys.readouterr()
+    # an integer beyond the double range is a schema error, not a norm beyond it
+    bad.write_text(json.dumps({"n": 1, "entries": [[[10**400, 0]]]}))
+    assert run_cli("compute", bad) == 2
+    assert capsys.readouterr().err == "error: entry (0,0) is beyond the double range\n"
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
@@ -231,6 +235,23 @@ def test_bad_certificate_values_exit_two(s2_file, capsys):
     assert run_cli("verify", s2_file, "--lambda", "0,0", "--r", "1") == 2
     assert run_cli("verify", s2_file, "--lambda", "1,0", "--r", "-1") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "S2", "--lambda", "nan", "--r", "1"],
+    ["verify", "S2", "--lambda", "inf,0", "--r", "1"],
+    ["verify", "S2", "--lambda", "1,0", "--r", "inf"],
+    ["verify", "S2", "--phi", "inf", "--varphi", "1"],
+    ["sweep", "--ensemble=disk", "--n=2", "--trials=3", "--seed=1", "--lambda=nan", "--r=1"],
+    ["sweep", "--ensemble=segment", "--n=2", "--trials=3", "--seed=1", "--m=1", "--M=inf"],
+])
+def test_non_finite_certificate_values_exit_2_with_no_report(argv, s2_file, capsys):
+    # a NaN certificate printed NaN reports and exited 0; the others warned
+    # or failed with messages about the matrix or its norm
+    assert run_cli(*[s2_file if a == "S2" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: (certificate center lambda|certificate radius|sector endpoints) must be finite.*\n", err)
 
 
 # -------------------------------------------------------------------- sweep
@@ -417,7 +438,7 @@ def test_sweep_lapack_calls_grow_with_chunks_not_trials(ensemble, monkeypatch):
     # one call of its own.
     calls = count_calls(monkeypatch, "eigvalsh", "eigh", "eigvals")
     draw_calls = []
-    draw = cli._draw
+    draw = extremal._draw
 
     def counted_draw(*args):
         before = len(calls)
@@ -425,7 +446,7 @@ def test_sweep_lapack_calls_grow_with_chunks_not_trials(ensemble, monkeypatch):
         draw_calls.append(len(calls) - before)
         return stack
 
-    monkeypatch.setattr(cli, "_draw", counted_draw)
+    monkeypatch.setattr(extremal, "_draw", counted_draw)
     for trials in (64, 128):
         calls.clear()
         draw_calls.clear()

@@ -1,5 +1,7 @@
 """Generators, golden operators, and the extremal searches."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,7 @@ from numrad.extremal import (
     SearchResult,
     _draw,
     _rngs,
-    _seed_rngs,
     _seed_words,
-    _trial_rngs,
 )
 from numrad.linalg import hermitian_eigen, operator_norm, shifted_norms
 from numrad.numrange import numerical_radius
@@ -57,6 +57,14 @@ def test_orthogonal_ranges():
     assert not orthogonal_ranges_check(1e-6 * np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert orthogonal_ranges_check(1e150 * shift2())
     assert orthogonal_ranges_check(1e-150 * shift2())
+    # 2^k T is tested as T: ||T^2||_F neither underflows to 0, which passed
+    # 1e-150 I, nor overflows with a warning, as it did at 1e150 I
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-540, -498, 498, 540):
+            assert not orthogonal_ranges_check(2.0**k * np.eye(2))
+            assert orthogonal_ranges_check(2.0**k * shift2())
+            assert not orthogonal_ranges_check(2.0**k * 1e-6 * np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_half_norm_property_for_square_zero():
@@ -243,7 +251,7 @@ def assert_same_generators(got, entropies):
 
 def test_chunk_generators_equal_default_rng_on_random_seeds():
     seeds = np.random.default_rng(1901).integers(0, 2**64, size=2000, dtype=np.uint64)
-    got = _seed_rngs(seeds)
+    got = _rngs((), seeds)
     assert_same_generators(got, seeds.tolist())
     # the streams, not only the states, are numpy's
     want = np.random.default_rng(int(seeds[0])).standard_normal(5)
@@ -251,25 +259,20 @@ def test_chunk_generators_equal_default_rng_on_random_seeds():
 
 
 def test_chunk_generators_equal_default_rng_on_edge_seeds():
-    # rows of 1 to 5 words, zero-padded to the widest: a row within the pool
-    # of 4 hashes its padding as SeedSequence hashes its missing words, and
-    # a longer row mixes in only the words it has
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**96 + 5, 2**128 + 1]
-    rows = [_seed_words(seed) for seed in seeds]
-    entropy = np.zeros((len(rows), max(map(len, rows))), np.uint32)
-    for e, row in zip(entropy, rows):
-        e[:len(row)] = row
-    assert [len(row) for row in rows] == [1, 1, 1, 2, 2, 2, 4, 5]
-    assert_same_generators(_rngs(entropy, [len(row) for row in rows]), seeds)
-    assert_same_generators(_rngs(entropy[:-1, :4]), seeds[:-1])
+    # rows of 1 and 2 words in one chunk, zero-padded to the pool of 4: a row
+    # hashes its padding as SeedSequence hashes its missing words
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+    assert [len(_seed_words(seed)) for seed in seeds] == [1, 1, 1, 2, 2, 2]
+    assert_same_generators(_rngs((), np.array(seeds, np.uint64)), seeds)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**40, 2**100 + 1])
+@pytest.mark.parametrize("seed", [0, 7, 2**40, 2**100 + 1, 2**128 + 1])
 def test_trial_generators_equal_default_rng_of_seed_and_trial(seed):
-    # 2^100 + 1 has 4 words, so its rows take SeedSequence's loop past the
-    # pool, with 5 words for a one-word trial and 6 for 2^32
+    # heads of 1, 1, 2, 4 and 5 words; 2^100 + 1 and 2^128 + 1 take their
+    # rows through SeedSequence's loop past the pool, with one more word for
+    # a one-word trial than for 2^32, which has two
     trials = [0, 63, 64, 2**32 - 1, 2**32]
-    got = _trial_rngs(seed, np.array(trials, np.uint64))
+    got = _rngs(_seed_words(seed), np.array(trials, np.uint64))
     assert_same_generators(got, [[seed, trial] for trial in trials])
 
 

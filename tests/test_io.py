@@ -51,6 +51,7 @@ def test_matrix_schema_shape():
         {"n": 1, "entries": [[[0, "x"]]]},
         {"n": 1, "entries": [[[0, True]]]},
         {"n": 1, "entries": [[[np.inf, 0]]]},
+        {"n": 1, "entries": [[[10**400, 0]]]},
     ],
 )
 def test_matrix_schema_rejects(obj):
