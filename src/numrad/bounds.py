@@ -591,6 +591,26 @@ def verify_all(t, certs) -> list:
     return sorted(reports, key=lambda rep: _ID_ORDER[rep.inequality_id])
 
 
+def _witness(s: np.ndarray):
+    """Lower bounds on ||S - d I||, as a function of an array of shifts d.
+
+    V holds the top two right singular vectors of S (one when n = 1), taken
+    from one `eigh` of S*S. Two cover the Hermitian kind, whose top singular
+    value is double at the best center. For V with orthonormal columns,
+    ||S - d I|| >= ||(S - d I) V|| = ||S V - d V||, the top singular value of
+    an n x 2 matrix: the sqrt of the top eigenvalue of its 2 x 2 Gram
+    matrix, one batched `eigvalsh` over the shifts.
+    """
+    v = np.linalg.eigh(s.conj().T @ s)[1][:, -2:]
+    sv = s @ v
+
+    def bound(d):
+        x = sv - d[:, None, None] * v
+        return np.sqrt(np.maximum(np.linalg.eigvalsh(x.conj().swapaxes(-1, -2) @ x)[:, -1], 0.0))
+
+    return bound
+
+
 def optimize_lambda(t) -> DiskCertificate:
     """Search for a center approximately minimizing ||T - lambda I||.
 
@@ -603,21 +623,55 @@ def optimize_lambda(t) -> DiskCertificate:
     largest entry of T, and the certificate of 2^k T is exactly 2^k times
     that of T.
 
-    Only the grid candidates that can hold the minimum are measured. Each
-    support line of W(T) bounds the norm from below: with h(theta) the top
-    eigenvalue of H(theta) (see `numrange`),
-    ||T - lambda I|| >= w(T - lambda I) >= h(theta) - Re(e^{i theta} lambda).
-    LB(lambda) is the largest of these over the SEED_GRID angles; u is the
-    norm measured at the candidate of smallest LB, so the grid minimum is at
-    most u. A candidate with LB > u + _PRUNE_RTOL * cap has a computed norm
-    above u, because the rounding of h, of Re(e^{i theta} lambda) and of the
-    computed norms is far below that margin (at most eps * cap measured);
-    so it is not the grid minimum and does not tie with it. Each norm is
-    computed on its own (on the scaled T the guard of `shifted_norms` never
-    fires), so the argmin, its tie-break to the first index and the norm
-    measured there are bit for bit those of the full grid.
+    Only the shifts that can change a decision are measured, so the
+    certificate is bit for bit the one of the full grid and of a descent
+    that measures all four moves of every step. Two lower bounds prune:
+
+    - Support lines. With h(theta) the top eigenvalue of H(theta) (see
+      `numrange`), ||T - lambda I|| >= w(T - lambda I) >=
+      h(theta) - Re(e^{i theta} lambda); LB(lambda) is the largest of these
+      over the SEED_GRID angles.
+    - Witness vectors. For any V with orthonormal columns,
+      ||T - mu I|| >= ||(T - mu I) V|| (Stampfli 1970; Bhatia & Semrl 1999).
+      V is taken at a center lambda from the top two right singular vectors
+      of S = T - lambda I, and (T - mu I) V = S V - (mu - lambda) V (see
+      `_witness`).
+
+    Grid. u is the norm measured at the candidate of smallest LB, so the
+    grid minimum is at most u. A candidate whose LB or whose witness bound
+    from that candidate exceeds u + _PRUNE_RTOL * cap has a computed norm
+    above u, because the rounding of both bounds and of the computed norms
+    is far below that margin (about (n + 2)^2 eps * cap); so it is not the
+    grid minimum and does not tie with it. Each norm is computed on its own
+    (on the scaled T the guard of `shifted_norms` never fires), so the
+    argmin, its tie-break to the first index and the norm measured there
+    are bit for bit those of the full grid.
+
+    Descent. V is refreshed at each accepted center, and a move is measured
+    only when its witness bound is at most best (1 + 4 (n + 2)^2 eps). A
+    dropped move has a computed norm of at least best, so it cannot be the
+    accepted argmin, cannot take a tie from it, and when every measured move
+    is at least best the full step halves too. The margin covers these
+    relative errors, with the unit roundoff eps/2:
+
+    - a computed norm is within about (n + 2)^2 eps/2 of the true one (see
+      `_norm_bound`), at the move and at the center, where it is best;
+    - the product S V errs by at most g sqrt(2n) ||S|| <= (n + 2)^2 eps/2 ||S||,
+      with g = (n + 2) eps/2 / (1 - (n + 2) eps/2) (Higham 2002, section 3.6);
+    - the columns of V are orthonormal to n^2 eps/2, the eigensolver's
+      backward error as `_norm_bound` takes it;
+    - fl(T - lambda I) errs only on the diagonal, by eps/2 ||S||; the shift
+      fl(mu - lambda) by eps/2 |mu - lambda| <= eps/2 (||T - mu I|| + ||S||);
+      the subtraction, the top eigenvalue and the sqrt by a few eps/2, and the
+      2 x 2 Gram, of inner products of length n, by (n + 2) eps/2, all
+      relative to ||T - mu I|| + ||S||.
+
+    They sum to at most about 2 (n + 2)^2 eps + (n + 12) eps/2, under three
+    quarters of the margin, so a bound above the margin puts the true norm
+    and then the computed norm above best.
     """
     t, e = pow2_scaled(as_matrix(t))
+    n = t.shape[-1]
     cap = 2.0 * operator_norm(t) or 1e-6
 
     # The grid size is even, so the grid never contains exactly 0.
@@ -627,20 +681,29 @@ def optimize_lambda(t) -> DiskCertificate:
     cand = cand[np.abs(cand) <= cap]
     h = _seed_supports(t[None], t.conj()[None])[0][0]
     lb = (h - (cand[:, None] * np.exp(1j * _SEED_ANGLES)).real).max(axis=1)
-    u = float(shifted_norms(t, cand[[np.argmin(lb)]])[0])
+    i = int(np.argmin(lb))
+    u = float(shifted_norms(t, cand[[i]])[0])
     live = np.flatnonzero(lb <= u + _PRUNE_RTOL * cap)
+    bound = _witness(t - cand[i] * np.eye(n))
+    live = live[bound(cand[live] - cand[i]) <= u + _PRUNE_RTOL * cap]
     vals = shifted_norms(t, cand[live])
     k = int(np.argmin(vals))
     lam, best = complex(cand[live[k]]), float(vals[k])
+    if live[k] != i:
+        bound = _witness(t - lam * np.eye(n))
 
+    margin = 1.0 + 4.0 * (n + 2) ** 2 * np.finfo(float).eps
     step = 2.0 * cap / 31
     while step > 1e-8:
         moves = np.array([lam + step, lam - step, lam + 1j * step, lam - 1j * step])
-        mv = shifted_norms(t, moves)
-        j = int(np.argmin(mv))
-        if mv[j] < best and moves[j] != 0:
-            lam, best = complex(moves[j]), float(mv[j])
-        else:
-            step *= 0.5
+        near = np.flatnonzero(bound(moves - lam) <= best * margin)
+        if near.size:
+            mv = shifted_norms(t, moves[near])
+            j = int(np.argmin(mv))
+            if mv[j] < best and moves[near[j]] != 0:
+                lam, best = complex(moves[near[j]]), float(mv[j])
+                bound = _witness(t - lam * np.eye(n))
+                continue
+        step *= 0.5
     lam = complex(_ldexp(lam, e))
     return DiskCertificate(lam=lam, r=float(np.ldexp(best + 1e-9, e)))

@@ -77,11 +77,13 @@ def orthogonal_ranges_check(t) -> bool:
 def ginibre(n, rng: np.random.Generator) -> np.ndarray:
     """Matrix of independent standard complex Gaussian entries.
 
-    n x n for an int n, else of the shape n, such as (rows, cols). The real
-    parts are drawn first, then the imaginary parts, one call each.
+    n x n for an int n, else of the tuple shape n, such as (rows, cols). The
+    real parts are drawn first, then the imaginary parts, in one call: a
+    Generator's normals come from one sequential stream, so this is the
+    stream of one call for each part.
     """
-    shape = (n, n) if np.ndim(n) == 0 else n
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z = rng.standard_normal((2, *n) if isinstance(n, tuple) else (2, n, n))
+    return z[0] + 1j * z[1]
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,17 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _float_pairs(entries: list, n: int) -> bool:
+    """True when every row is a list of n lists of two exact floats, the form
+    JSON gives a matrix this module wrote. Anything else, such as ints, bools
+    or ragged rows, takes the per-entry checks and their messages."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {n}:
+        return False
+    pairs = list(chain.from_iterable(entries))
+    return (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
+            and set(map(type, chain.from_iterable(pairs))) == {float})
+
+
 def obj_to_matrix(obj) -> np.ndarray:
     """Parse and validate the matrix schema; raises ValueError on any defect."""
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
@@ -51,17 +63,20 @@ def obj_to_matrix(obj) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise ValueError(f"'entries' must be a list of {n} rows")
-    out = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError(f"row {i} must be a list of {n} entries")
-        for j, pair in enumerate(row):
-            if not isinstance(pair, list) or len(pair) != 2 or not all(_is_number(v) for v in pair):
-                raise ValueError(f"entry ({i},{j}) must be a [re, im] number pair")
-            try:
-                out[i, j] = complex(pair[0], pair[1])
-            except OverflowError:
-                raise ValueError(f"entry ({i},{j}) is beyond the double range") from None
+    if _float_pairs(entries, n):
+        out = np.array(entries, dtype=float).view(complex).reshape(n, n)
+    else:
+        out = np.empty((n, n), dtype=complex)
+        for i, row in enumerate(entries):
+            if not isinstance(row, list) or len(row) != n:
+                raise ValueError(f"row {i} must be a list of {n} entries")
+            for j, pair in enumerate(row):
+                if not isinstance(pair, list) or len(pair) != 2 or not all(_is_number(v) for v in pair):
+                    raise ValueError(f"entry ({i},{j}) must be a [re, im] number pair")
+                try:
+                    out[i, j] = complex(pair[0], pair[1])
+                except OverflowError:
+                    raise ValueError(f"entry ({i},{j}) is beyond the double range") from None
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")
     return out

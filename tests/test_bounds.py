@@ -1037,3 +1037,66 @@ def test_support_line_bound_never_exceeds_the_norm(a):
     lb = (h[:, -1] - (cand[:, None] * ph).real).max(axis=1)
     # Rounding only: far below optimize_lambda's pruning margin.
     assert np.all(lb <= shifted_norms(t, cand) + 16 * np.finfo(float).eps * cap)
+
+
+@pytest.mark.parametrize("a", [*LAMBDA_MATRICES, np.array([[0.3 - 2j]]), np.zeros((1, 1))])
+def test_witness_bound_never_exceeds_the_norm(a):
+    # At the grid points and at descent moves of every step size around a
+    # grid corner, the grid middle and the fitted center: the computed bound
+    # stays within optimize_lambda's descent margin of the computed norm.
+    t, _ = pow2_scaled(as_matrix(a))
+    n = t.shape[-1]
+    cand, cap = lambda_grid(t)
+    margin = 1.0 + 4.0 * (n + 2) ** 2 * np.finfo(float).eps
+    steps = cap * 2.0 ** -np.arange(0, 60, 3)
+    for center in (cand[0], cand[len(cand) // 2], optimize_lambda(t).lam):
+        bound = bounds._witness(t - center * np.eye(n))
+        mu = np.concatenate([cand, center + np.outer(steps, [1, -1, 1j, -1j]).ravel()])
+        assert np.all(bound(mu - center) <= shifted_norms(t, mu) * margin)
+
+
+def test_witness_bound_is_tight_at_its_center():
+    # sigma_max(S V) is ||S|| up to rounding: V holds S's top right singular vector.
+    for a in LAMBDA_MATRICES:
+        t, _ = pow2_scaled(as_matrix(a))
+        center = optimize_lambda(t).lam
+        norm = shifted_norms(t, [center])[0]
+        got = bounds._witness(t - center * np.eye(t.shape[-1]))(np.zeros(1))[0]
+        assert abs(got - norm) <= 1e-12 * norm
+
+
+def support_line_norm_count(t):
+    """Grid norms the support-line pruning alone measures: the candidates it
+    keeps plus the norm at the smallest bound."""
+    cand, cap = lambda_grid(t)
+    ph = np.exp(1j * np.arange(SEED_GRID) * (2.0 * np.pi / SEED_GRID))
+    h = np.linalg.eigvalsh(0.5 * (ph[:, None, None] * t + ph.conj()[:, None, None] * t.conj().T))
+    lb = (h[:, -1] - (cand[:, None] * ph).real).max(axis=1)
+    u = shifted_norms(t, cand[[np.argmin(lb)]])[0]
+    return 1 + int(np.count_nonzero(lb <= u + bounds._PRUNE_RTOL * cap))
+
+
+def test_witness_pruning_measures_at_most_60_percent_of_the_norms(monkeypatch):
+    # The reference is the fit without witness pruning: the support-line grid
+    # and four norms per descent step, the steps counted on full_grid_lambda.
+    from test_golden import _workloads
+
+    mats = [*dense_kinds(31), *(_workloads().dense_matrix(1301, i)[0] for i in range(8))]
+    reference = sum(support_line_norm_count(pow2_scaled(as_matrix(a))[0]) for a in mats)
+    counts = {"fit": [], "reference": []}
+
+    def recording(key, norms=shifted_norms):
+        def measure(t, lams):
+            counts[key].append(len(lams))
+            return norms(t, lams)
+        return measure
+
+    monkeypatch.setattr(bounds, "shifted_norms", recording("fit"))
+    monkeypatch.setitem(globals(), "shifted_norms", recording("reference"))
+    for a in mats:
+        optimize_lambda(a)
+        full_grid_lambda(a)
+        grid, *descent = counts["reference"]
+        reference += sum(descent)
+        counts["reference"].clear()
+    assert sum(counts["fit"]) <= 0.6 * reference

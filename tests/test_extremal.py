@@ -236,8 +236,9 @@ def test_ginibre_block_draws_the_stream_of_the_old_fill_formula():
             assert block.shape == (rows, cols)
             assert block.tobytes() == _complex_normal((rows, cols), old).tobytes()
             assert new.random() == old.random()
-    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    assert ginibre(3, rng).tobytes() == _complex_normal((3, 3), ref).tobytes()
+    for n in (3, np.int64(3)):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        assert ginibre(n, rng).tobytes() == _complex_normal((3, 3), ref).tobytes()
 
 
 # ------------------------------------------------------- chunked generators

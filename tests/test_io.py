@@ -59,6 +59,32 @@ def test_matrix_schema_rejects(obj):
         obj_to_matrix(obj)
 
 
+def test_float_pairs_parse_bit_for_bit_like_the_per_entry_checks():
+    # All-float pairs take one np.array call; a float subclass takes the
+    # per-entry path, which must give the same bits, -0.0 and subnormals included.
+    class Float(float):
+        pass
+
+    values = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+              1.7976931348623157e308, 0.1, -3.75, 1.0, -1.0]
+    for n in (1, 4):
+        flat = (values + values[::-1]) * 2
+        entries = [[flat[2 * (n * i + j) : 2 * (n * i + j) + 2] for j in range(n)] for i in range(n)]
+        fast = obj_to_matrix({"n": n, "entries": entries})
+        loop = obj_to_matrix({"n": n, "entries": [[[Float(v) for v in p] for p in row] for row in entries]})
+        ref = np.array([[complex(*p) for p in row] for row in entries])
+        assert fast.shape == (n, n) and fast.flags.c_contiguous
+        assert fast.tobytes() == loop.tobytes() == ref.tobytes()
+
+
+def test_matrix_schema_mixed_types_take_the_per_entry_checks():
+    assert obj_to_matrix({"n": 1, "entries": [[[1, -0.0]]]}).view(float).tolist() == [[1.0, -0.0]]
+    with pytest.raises(ValueError, match="row 0 must be a list"):
+        obj_to_matrix({"n": 1, "entries": [([0.0, 0.0],)]})
+    with pytest.raises(ValueError, match=r"entry \(0,0\) must be a \[re, im\] number pair"):
+        obj_to_matrix({"n": 1, "entries": [[(0.0, 0.0)]]})
+
+
 def test_load_matrix_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
