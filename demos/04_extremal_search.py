@@ -11,7 +11,10 @@ operators can push two disk constraints:
   configuration where the disk gap bound would be attained with equality.
 
 Both report the smallest violation score found (score 0 would exhibit a
-feasible operator); neither proves anything about existence.
+feasible operator). For every T with T^2 = 0,
+||T - lambda I|| = (||T|| + sqrt(||T||^2 + 4 |lambda|^2)) / 2, so no feasible
+operator exists: a unit-norm candidate's sqrt-disk excess is at least 1/2,
+at lambda = 1/2, and its equality-probe excess is (1 + sqrt(5))/2 - 1.
 """
 
 import numpy as np
@@ -46,7 +49,8 @@ for n in (2, 3, 4):
     print(f"equality probe,   n = {n}: best score {res.score:.6f}")
 
 print(
-    "\nThe equality probe bottoms out at 0.618, exactly the S2 value: the "
-    "random search never beats the shift, so whether a feasible operator "
-    "exists stays open."
+    "\nBoth searches bottom out at their closed forms: 0.5 at lambda = 0.5 and "
+    "0.618, the S2 value. Every square-zero T has "
+    "||T - lambda I|| = (||T|| + sqrt(||T||^2 + 4|lambda|^2))/2, so no "
+    "feasible operator exists (excess >= 1/2)."
 )

@@ -77,7 +77,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import _as_stack, _ldexp, _spectral_norms, as_matrix, operator_norm, pow2_scaled, shifted_norms
+from .linalg import _as_stack, _eigh, _ldexp, _spectral_norms, as_matrix, operator_norm, pow2_scaled, shifted_norms
 from .numrange import _SEED_ANGLES, _seed_supports, numerical_radius
 
 __all__ = [
@@ -597,18 +597,12 @@ def _witness(s: np.ndarray):
     V holds the top two right singular vectors of S (one when n = 1), taken
     from one `eigh` of S*S. Two cover the Hermitian kind, whose top singular
     value is double at the best center. For V with orthonormal columns,
-    ||S - d I|| >= ||(S - d I) V|| = ||S V - d V||, the top singular value of
-    an n x 2 matrix: the sqrt of the top eigenvalue of its 2 x 2 Gram
-    matrix, one batched `eigvalsh` over the shifts.
+    ||S - d I|| >= ||(S - d I) V|| = ||S V - d V||, the norm of an n x 2
+    matrix, from one `_spectral_norms` call over the shifts.
     """
-    v = np.linalg.eigh(s.conj().T @ s)[1][:, -2:]
+    v = _eigh(s.conj().T @ s, vectors=True)[1][:, -2:]
     sv = s @ v
-
-    def bound(d):
-        x = sv - d[:, None, None] * v
-        return np.sqrt(np.maximum(np.linalg.eigvalsh(x.conj().swapaxes(-1, -2) @ x)[:, -1], 0.0))
-
-    return bound
+    return lambda d: _spectral_norms(sv - d[:, None, None] * v)
 
 
 def optimize_lambda(t) -> DiskCertificate:
@@ -658,8 +652,7 @@ def optimize_lambda(t) -> DiskCertificate:
       `_norm_bound`), at the move and at the center, where it is best;
     - the product S V errs by at most g sqrt(2n) ||S|| <= (n + 2)^2 eps/2 ||S||,
       with g = (n + 2) eps/2 / (1 - (n + 2) eps/2) (Higham 2002, section 3.6);
-    - the columns of V are orthonormal to n^2 eps/2, the eigensolver's
-      backward error as `_norm_bound` takes it;
+    - the columns of V are orthonormal to n^2 eps/2 (see `_eigh`);
     - fl(T - lambda I) errs only on the diagonal, by eps/2 ||S||; the shift
       fl(mu - lambda) by eps/2 |mu - lambda| <= eps/2 (||T - mu I|| + ||S||);
       the subtraction, the top eigenvalue and the sqrt by a few eps/2, and the

@@ -4,8 +4,10 @@ Subcommands: compute (radius, norm, boundary CSV), verify (slack reports as
 JSON lines), sweep (random ensembles with aggregate slack statistics), search
 (extremal probes), plot (boundary SVG). Exit codes: 0 on success, 1 when a
 passing hypothesis produced a negative slack beyond the relative tolerance
-(see `bounds.SLACK_TOL`), 2 on malformed input, and 2 from verify when a side
-of a passing bound exceeds the double range (the reports are printed first).
+(see `bounds.SLACK_TOL`), 2 on malformed input, 2 when an eigensolver or
+the radius's level-set iteration does not converge (`linalg.NoConvergence`),
+and 2 from verify when a side of a passing bound exceeds the double range (the
+reports are printed first).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .io import (
     write_boundary_csv,
     write_boundary_svg,
 )
+from .linalg import NoConvergence
 from .numrange import BOUNDARY_GRID, range_summary
 
 ENSEMBLES = ("disk", "segment", "ginibre", "nilpotent")
@@ -262,7 +265,7 @@ def main(argv=None) -> int:
         # Looked up per call, not stored in the cached parser, so a command
         # rebound after the parser was built (a tracer, a test) still runs.
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -4,7 +4,20 @@ Generators manufacture matrices that satisfy a certificate hypothesis by
 construction, for ensemble sweeps. The searches probe two questions about
 unit-norm operators with orthogonal ranges (equivalently T^2 = 0): how close
 ||T - lambda I|| can get to sqrt(|lambda|), and how close ||T - I|| can get
-to 1. Both report the best violation score found and assert nothing.
+to 1. Both have a closed-form answer. For T^2 = 0, range(T) lies in ker(T),
+so in the split C^n = ker(T)^perp + ker(T) T is [[0, 0], [B, 0]], and the
+SVD of B splits T - lambda I unitarily into 2 x 2 blocks
+[[-lambda, 0], [sigma, -lambda]] and 1 x 1 blocks [-lambda]. Hence
+
+    ||T - lambda I|| = (||T|| + sqrt(||T||^2 + 4 |lambda|^2)) / 2
+
+for every square-zero T, whatever its order (Haagerup & de la Harpe 1992
+give w(T) = ||T||/2). Every search candidate is square-zero by its zero
+pattern, so its disk excess over sqrt(|lambda|) is
+(1 + sqrt(1 + 4 |lambda|^2))/2 - sqrt(|lambda|) >= 1/2, with equality at
+|lambda| = 1/2, and its excess in the equality probe is (1 + sqrt(5))/2 - 1.
+No feasible operator exists; the searches' best scores are these values up
+to eigensolver rounding.
 
 One pipeline draws the trials of the sweep and of the searches: `_stacks`
 splits them into chunks of _CHUNK, `_rngs` builds a chunk's generators in
@@ -40,9 +53,9 @@ __all__ = [
     "probe_equality_case",
 ]
 
-# Log-spaced centers for the sqrt-disk search. Feasible centers necessarily
-# lie in roughly [0.38, 2.62] for a unit-norm candidate; the grid brackets
-# that range generously.
+# Log-spaced centers for the sqrt-disk search. Its middle point, index 12,
+# is 1/2 to one ulp, where the closed-form excess of every candidate is
+# least (1/2; see the module docstring).
 _LAMBDA_GRID = np.geomspace(0.0625, 4.0, 25)
 # Trials drawn and measured together by the sweep and the searches: one
 # `_rngs` and one `_draw` call per chunk, then one stacked norm or bound_table
@@ -310,12 +323,12 @@ def _search(n, iters, seed, lam_values, allowed) -> SearchResult:
     Each trial draws from default_rng([seed, trial]) a block strictly lower
     triangular Ginibre candidate normalized to unit norm, and picks the
     center in lam_values minimizing the disk excess over its allowed radius.
-    Pure restart, no local polish: the feasible set may be empty, so wide
-    coverage matters more than refinement. Trials run through `_stacks`, a
-    chunk of _CHUNK at a time, and one stacked norm call measures each
-    quantity of a chunk; the results equal those of one trial at a time bit
-    for bit. Returns the lowest-score result, ties resolved to the earliest
-    trial.
+    Pure restart, no local polish: every candidate's excess has the closed
+    form of the module docstring, so no refinement could lower it. Trials
+    run through `_stacks`, a chunk of _CHUNK at a time, and one stacked norm
+    call measures each quantity of a chunk; the results equal those of one
+    trial at a time bit for bit. Returns the lowest-score result, ties
+    resolved to the earliest trial.
     """
     iters = int(iters)
     if iters < 1:
@@ -343,8 +356,9 @@ def search_sqrt_disk(n, iters, seed) -> SearchResult:
     """Search for unit-norm T with T^2 = 0 and ||T - lambda I|| <= sqrt(lambda).
 
     Centers lambda run over a log grid in (0, 4]. A score of 0 would exhibit
-    a feasible operator; a positive best score only reports the smallest
-    violation reached, it is no evidence of infeasibility.
+    a feasible operator, but none exists: every candidate's excess is
+    (1 + sqrt(1 + 4 lambda^2))/2 - sqrt(lambda) >= 1/2 (see the module
+    docstring), so the best score is 1/2, at lambda = 1/2, up to rounding.
     """
     return _search(n, iters, seed, _LAMBDA_GRID, np.sqrt(_LAMBDA_GRID))
 
@@ -354,7 +368,8 @@ def probe_equality_case(n, iters, seed) -> SearchResult:
 
     Same scaffold as search_sqrt_disk with the center fixed at 1 and allowed
     radius 1. This is the configuration that would make the disk gap bound
-    tight; the probe reports the best achievable score without deciding
-    whether a feasible operator exists.
+    tight. No feasible operator exists: every candidate has
+    ||T - I|| = (1 + sqrt(5))/2 (see the module docstring), the value of the
+    shift S2, so the best score is (1 + sqrt(5))/2 - 1 up to rounding.
     """
     return _search(n, iters, seed, np.array([1.0]), np.ones(1))

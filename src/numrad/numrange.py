@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import NoConvergence, _as_stack, _ldexp, _spectral_norms, as_matrix, operator_norm, pow2_scaled
+from .linalg import NoConvergence, _as_stack, _eigh, _ldexp, _spectral_norms, as_matrix, operator_norm, pow2_scaled
 
 __all__ = [
     "Boundary",
@@ -96,7 +96,7 @@ def _seed_supports(a: np.ndarray, ac: np.ndarray):
     count, n, half = a.shape[0], a.shape[-1], SEED_GRID // 2
     pairs = np.arange(count).repeat(half), np.tile(_SEED_ANGLES[:half], count)
     stack = _hermitian_stack(a, ac, *pairs).reshape(count, half, n, n)
-    vals = np.linalg.eigvalsh(stack)
+    vals = _eigh(stack)
     return np.concatenate([vals[..., -1], -vals[..., 0]], axis=1), stack
 
 
@@ -142,7 +142,7 @@ def numerical_range_boundary(a, n_theta: int) -> Boundary:
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     m = n_theta // 2 if n_theta % 2 == 0 else n_theta
     a, e = pow2_scaled(a)
-    vals, vecs = np.linalg.eigh(_hermitian_stack(a[None], a.conj()[None], [0] * m, thetas[:m]))
+    vals, vecs = _eigh(_hermitian_stack(a[None], a.conj()[None], [0] * m, thetas[:m]), vectors=True)
     supports, x = vals[:, -1], vecs[:, :, -1]
     if m < n_theta:
         supports = np.concatenate([supports, -vals[:, 0]])
@@ -174,7 +174,7 @@ def _polish(a: np.ndarray, ac: np.ndarray, owner: np.ndarray, thetas: np.ndarray
         if thetas.size == 0:
             break
         ph = np.exp(1j * thetas)[:, None, None]
-        vals, vecs = np.linalg.eigh(_hermitian_stack(a, ac, owner, thetas))
+        vals, vecs = _eigh(_hermitian_stack(a, ac, owner, thetas), vectors=True)
         np.maximum.at(best, owner, vals[:, -1])
         x = vecs[:, None, :, -1]
         ax = x @ a.take(owner, axis=0).swapaxes(-1, -2)
@@ -213,10 +213,8 @@ def _norm_bound(a: np.ndarray) -> np.ndarray:
 
     - Gram product: |fl(S*S) - S*S| <= g |S|*|S| entrywise, so its 2-norm
       error is at most g ||S||_F^2 <= n g ||S||^2.
-    - Eigensolver: LAPACK's Hermitian solvers are backward stable. The
-      computed top eigenvalue of fl(S*S) is taken to be exact for a
-      perturbation of norm at most n^2 u ||fl(S*S)||, a generous form of the
-      p(n) u of Householder tridiagonalisation.
+    - Eigensolver: the computed top eigenvalue of fl(S*S) is taken to be
+      exact for a perturbation of norm at most n^2 u ||fl(S*S)|| (see `_eigh`).
     - So a computed squared norm is below the true one by at most
       (n g + n^2 u) ||S||^2 <= 2 (n + 2)^2 u ||S||^2, and a computed norm,
       after the square root and its rounding, by about (n + 2)^2 u ||S||.
@@ -266,7 +264,7 @@ def _rises(h: np.ndarray, level: np.ndarray, owner: np.ndarray):
         return owner[:0], level[:0]
     mats = np.split(shifted, np.flatnonzero(np.diff(owner)) + 1)
     p = np.flatnonzero(np.concatenate([np.full(len(m), not _factors(m)) for m in mats]))
-    vals = np.linalg.eigvalsh(h[p])[:, -1]
+    vals = _eigh(h[p])[:, -1]
     up = vals > level[p]
     return p[up], vals[up]
 
@@ -403,7 +401,7 @@ def _ascend(a: np.ndarray, x: np.ndarray, steps: int) -> float:
         u = np.exp(-1j * np.angle(q))[:, None, None]
         h = 0.5 * (u * a + u.conj() * a.conj().T)
         v = np.linalg.qr(np.stack([x, (h @ x[..., None])[..., 0]], axis=-1))[0]
-        z = np.linalg.eigh(v.conj().swapaxes(-1, -2) @ h @ v)[1][..., -1:]
+        z = _eigh(v.conj().swapaxes(-1, -2) @ h @ v, vectors=True)[1][..., -1:]
         x = (v @ z)[..., 0]
     best = max(best, float(np.abs(np.einsum("bi,bi->b", x.conj(), x @ a.T)).max()))
     return float(np.ldexp(best, e))

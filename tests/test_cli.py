@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import numrad.cli as cli
-from numrad import bounds, extremal
+from numrad import bounds, extremal, numrange
 from numrad.bounds import (
     ACCRETIVE,
     OPERATOR_ORDER,
@@ -487,6 +487,35 @@ def test_negative_seed_exits_2_with_default_rngs_message(argv, capsys):
     # reject it with the same message before they split it into words
     assert run_cli(*argv, "--seed=-1") == 2
     assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{matrix}", "--auto"],
+    ["compute", "{matrix}"],
+    ["sweep", "--ensemble=disk", "--n=3", "--trials=3", "--seed=1", "--lambda=1,0", "--r=0.5"],
+    ["search", "--problem", "--n=2", "--iters=5", "--seed=1"],
+])
+def test_an_eigensolver_failure_exits_2_with_an_error_line(argv, tmp_path, monkeypatch, capsys):
+    # NoConvergence is an error of the run, not a violated bound (exit 1) or
+    # a traceback.
+    path = tmp_path / "g.json"
+    save_matrix(path, ginibre(4, np.random.default_rng(3)))
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert run_cli(*(arg.format(matrix=path) for arg in argv)) == 2
+    assert capsys.readouterr() == ("", "error: Eigenvalues did not converge\n")
+
+
+def test_an_uncertified_radius_exits_2_with_an_error_line(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g.json"
+    save_matrix(path, ginibre(4, np.random.default_rng(3)))
+    monkeypatch.setattr(numrange, "_MAX_TESTS", 0)
+    assert run_cli("compute", path) == 2
+    assert capsys.readouterr() == ("", "error: numerical radius not certified after 0 level-set tests\n")
 
 
 # --------------------------------------------------------------------- plot

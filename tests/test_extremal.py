@@ -25,8 +25,9 @@ from numrad.extremal import (
     _draw,
     _rngs,
     _seed_words,
+    _stacks,
 )
-from numrad.linalg import hermitian_eigen, operator_norm, shifted_norms
+from numrad.linalg import _spectral_norms, hermitian_eigen, operator_norm, shifted_norms
 from numrad.numrange import numerical_radius
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # ||S2 - I|| in closed form
@@ -340,6 +341,34 @@ def test_probe_best_dominates_raw_shift():
     res = probe_equality_case(2, 500, seed=1)
     _, _, s2_excess = candidate_violations(shift2(), 1.0)
     assert res.score <= s2_excess + 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_square_zero_candidate_has_the_closed_form_shifted_norm(n):
+    # For T^2 = 0, ||T - lambda I|| = (||T|| + sqrt(||T||^2 + 4|lambda|^2))/2
+    # (see the extremal module docstring). Checked on every trial of ten
+    # search chunks at every center of the sqrt-disk grid, within the
+    # (n + 2)^2 eps of a computed norm's rounding (see numrange._norm_bound).
+    tol = (n + 2) ** 2 * np.finfo(float).eps
+    for ts in _stacks("nilpotent", None, n, _seed_words(0), np.arange(10 * _CHUNK)):
+        norm = _spectral_norms(ts)[:, None]
+        closed = 0.5 * (norm + np.sqrt(norm**2 + 4.0 * _LAMBDA_GRID**2))
+        assert np.all(np.abs(shifted_norms(ts, _LAMBDA_GRID) - closed) <= tol * closed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_search_finds_its_closed_form_score(n):
+    # A unit-norm square-zero candidate's excess is the same for every draw:
+    # (1 + sqrt(1 + 4 lambda^2))/2 - sqrt(lambda), least (1/2) at the grid's
+    # lambda = 1/2 (to 1 ulp), and (1 + sqrt(5))/2 - 1 in the equality
+    # probe. So no feasible operator exists, and each best score is its
+    # closed form.
+    tol = (n + 2) ** 2 * np.finfo(float).eps
+    excess = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * _LAMBDA_GRID**2)) - np.sqrt(_LAMBDA_GRID)
+    assert np.argmin(excess) == 12 and abs(excess[12] - 0.5) <= np.finfo(float).eps
+    best = search_sqrt_disk(n, 2000, seed=7)
+    assert best.lam == _LAMBDA_GRID[12] and abs(best.score - excess[12]) <= tol
+    assert abs(probe_equality_case(n, 2000, seed=7).score - (GOLDEN - 1.0)) <= tol
 
 
 @pytest.mark.parametrize("search", [search_sqrt_disk, probe_equality_case])

@@ -1,11 +1,17 @@
 """Matrix kernel tests, cross-checked against closed forms and power iteration."""
 
+import ast
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
+import numrad
+from numrad.bounds import DiskCertificate, SectorPair, check_disk, check_sector_hypothesis, optimize_lambda, verify_all
+from numrad.extremal import search_sqrt_disk
 from numrad.linalg import (
+    NoConvergence,
     NotHermitian,
     as_matrix,
     hermitian_eigen,
@@ -14,7 +20,7 @@ from numrad.linalg import (
     shifted_norms,
 )
 from numrad.linalg import _ldexp, _spectral_norms
-from numrad.numrange import numerical_radius
+from numrad.numrange import numerical_radius, numerical_radius_oracle, numerical_range_boundary
 
 
 def rand_matrix(rng, n):
@@ -229,3 +235,62 @@ def test_pow2_scaling_is_exact_in_the_sign_of_zero():
     assert np.array_equal(np.signbit(scaled.imag), np.signbit(a.imag))
     back = _ldexp(scaled, np.full((2, 2), e))
     assert np.array_equal(np.signbit(back.view(float)), np.signbit(a.view(float)))
+
+
+# ------------------------------------------------------- one eigen kernel
+
+_G = np.stack([rand_matrix(np.random.default_rng(41 + i), 3) for i in range(3)])
+# Each public entry, called on a 3 x 3 Ginibre matrix (or a stack of three),
+# with the Hermitian routines of numpy.linalg it reaches.
+_EIGEN_ENTRIES = {
+    "numerical_radius": (lambda: numerical_radius(_G[0]), ("eigh", "eigvalsh")),
+    "numerical_radius_stack": (lambda: numerical_radius(_G), ("eigh", "eigvalsh")),
+    "numerical_range_boundary": (lambda: numerical_range_boundary(_G[0], 16), ("eigh",)),
+    "numerical_radius_oracle": (lambda: numerical_radius_oracle(_G[0], 100, 1), ("eigh",)),
+    "operator_norm": (lambda: operator_norm(_G[0]), ("eigvalsh",)),
+    "shifted_norms": (lambda: shifted_norms(_G[0], [1.0, 2j]), ("eigvalsh",)),
+    "hermitian_eigen": (lambda: hermitian_eigen(_G[0] + _G[0].conj().T), ("eigh",)),
+    "check_disk": (lambda: check_disk(_G[0], DiskCertificate(lam=1.0, r=5.0)), ("eigvalsh",)),
+    "check_sector_hypothesis": (lambda: check_sector_hypothesis(_G[0], SectorPair(phi=3.0, varphi=-1.0)),
+                                ("eigvalsh",)),
+    "optimize_lambda": (lambda: optimize_lambda(_G[0]), ("eigh", "eigvalsh")),
+    "verify_all": (lambda: verify_all(_G[0], [DiskCertificate(lam=1.0, r=5.0)]), ("eigh", "eigvalsh")),
+    "search_sqrt_disk": (lambda: search_sqrt_disk(3, 5, 1), ("eigvalsh",)),
+}
+
+
+@pytest.mark.parametrize("entry, routine", [
+    (entry, routine) for entry, (_, routines) in _EIGEN_ENTRIES.items() for routine in routines
+])
+def test_every_eigensolver_failure_raises_no_convergence(entry, routine, monkeypatch):
+    # A LAPACK failure of either Hermitian routine surfaces as one error,
+    # NoConvergence, from every public entry that reaches it; never as
+    # numpy's LinAlgError.
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        _EIGEN_ENTRIES[entry][0]()
+    assert calls
+
+
+def test_only_the_kernel_names_numpys_hermitian_eigensolvers():
+    # Every Hermitian eigensolve goes through linalg._eigh, so a new direct
+    # call of np.linalg.eigh or eigvalsh elsewhere in the package fails here.
+    names = {"eigh", "eigvalsh"}
+    found = []
+    for path in sorted(pathlib.Path(numrad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            scope.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                assert not names & {alias.name for alias in node.names}, path.name
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                found.append((path.name, scope.get(id(node))))
+    assert found and set(found) == {("linalg.py", "_eigh")}
