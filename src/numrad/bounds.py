@@ -250,22 +250,45 @@ class InequalityReport:
         return bool(_violated(self.hypothesis_ok, self.scaled_slack))
 
 
-def _verdicts(t, ok, measured):
-    """(bool, float) for one matrix t, the two arrays for a stack."""
-    return (bool(ok), float(measured)) if t.ndim == 2 else (ok, measured)
+def _verdicts(ok, value, e):
+    """(ok, value 2^e), to +-inf beyond the double range: (bool, float) for
+    one matrix, the two arrays for a stack."""
+    with np.errstate(over="ignore"):
+        value = np.ldexp(value, e)
+    return (bool(ok), float(value)) if np.ndim(ok) == 0 else (ok, value)
+
+
+def _disk_test(a, lam, r):
+    """(ok, norm, r, e, u): ||A - lambda I|| <= r (1 + DISK_TOL) tested on A,
+    one matrix or a stack (..., n, n), as U = A 2^-e - (lambda 2^-e) I, with
+    one power of two per matrix that brings the largest of max|a_ij|,
+    |lambda| and r into [1/2, 1); norm = ||U|| and r are 2^-e times the
+    unscaled values. Nothing over- or underflows at any scale, and in the
+    double range the norm is exactly 2^-e times what the unscaled shift gives
+    (see `_spectral_norms`). A is scaled on its float view and U shifted on
+    its diagonal in place, with no stacked real and imaginary copies.
+    """
+    a = _as_stack(a)
+    e = np.frexp(np.maximum(np.abs(a).max(axis=(-2, -1)), max(abs(lam), r)))[1]
+    u = np.ldexp(np.ascontiguousarray(a).view(float), -e[..., None, None]).view(complex)
+    u.reshape(*u.shape[:-2], -1)[..., ::a.shape[-1] + 1] -= np.ldexp([lam.real, lam.imag], -e[..., None]).view(complex)
+    norm, r = _spectral_norms(u), np.ldexp(r, -e)
+    return norm <= r * (1.0 + DISK_TOL), norm, r, e, u
 
 
 def check_disk(t, cert: DiskCertificate):
     """Measure ||T - lambda I|| and compare against the certified radius.
 
     T is one matrix, which gives (ok, measured), or a stack (..., n, n), which
-    gives two arrays of shape t.shape[:-2] from one `shifted_norms` call. The
-    measurement uses the kernel that `optimize_lambda` fits with. It may
-    exceed r by the relative DISK_TOL, so the verdict does not depend on scale.
+    gives two arrays of shape t.shape[:-2] from one stacked norm call. The
+    norm kernel is the one that `optimize_lambda` fits with. It may exceed r
+    by the relative DISK_TOL, and it is tested on T and the certificate
+    scaled by a power of two (see `_disk_test`), so the verdict does not
+    depend on scale. The measured value is scaled back, to inf beyond the
+    double range.
     """
-    t = _as_stack(t)
-    measured = shifted_norms(t, [cert.lam])[..., 0]
-    return _verdicts(t, measured <= cert.r * (1.0 + DISK_TOL), measured)
+    ok, norm, _, e, _ = _disk_test(t, cert.lam, cert.r)
+    return _verdicts(ok, norm, e)
 
 
 def _disk_of(s: SectorPair) -> tuple[complex, float]:
@@ -294,31 +317,26 @@ def check_sector_hypothesis(a, s: SectorPair):
     B = (A* - conj(varphi) I)(phi I - A) = (U* + conj(d))(d - U), so
     Re<Bx, x> = |d|^2 ||x||^2 - ||Ux||^2 and B - B* = 2 (d U* - conj(d) U).
     B is therefore accretive exactly when ||A - lambda I|| <= |d|, the disk of
-    `sector_to_disk`: the check measures ||U|| with the kernel of `check_disk`
-    and passes at ||U|| <= |d| (1 + DISK_TOL). The reported value is the
-    minimum eigenvalue |d|^2 - ||U||^2 of the Hermitian part (B + B*)/2.
+    `sector_to_disk`: the check is `check_disk`'s test (`_disk_test`), which
+    passes at ||U|| <= |d| (1 + DISK_TOL) on A and the disk scaled by a power
+    of two per matrix. The reported value is the minimum eigenvalue
+    |d|^2 - ||U||^2 of the Hermitian part (B + B*)/2, scaled back (to +-inf
+    beyond the double range): the verdict is the same at any scale.
     OPERATOR_ORDER mode also requires B to be self-adjoint, that is
-    conj(d) U Hermitian to SYM_RTOL relative to its Frobenius norm.
-    U and d are formed from A, phi and varphi times the power of two per
-    matrix that brings the largest of max|a_ij|, |phi| and |varphi| into
-    [1/2, 1), and the minimum eigenvalue is scaled back (to +-inf beyond the
-    double range): the verdict is the same at any scale. |d| is
-    |phi/2 - varphi/2| times that power of two: the radius of `sector_to_disk`,
-    so a pair and its disk are compared against one value, but finite where
-    phi - varphi overflows.
+    conj(d) U Hermitian to SYM_RTOL relative to its Frobenius norm. |d| is
+    |phi/2 - varphi/2|: the radius of `sector_to_disk`, so a pair and its
+    disk are compared against one value, but finite where phi - varphi
+    overflows. A degenerate pair (phi = varphi or phi = -varphi), which has
+    no disk, never passes.
     """
-    a = _as_stack(a)
-    e = np.frexp(np.maximum(np.abs(a).max(axis=(-2, -1)), max(abs(s.phi), abs(s.varphi))))[1]
-    a, phi, varphi = (_ldexp(z, -e[..., None, None]) for z in (a, s.phi, s.varphi))
-    u = a - 0.5 * (phi + varphi) * np.eye(a.shape[-1])
-    norm, r = _spectral_norms(u), np.ldexp(_disk_of(s)[1], -e)
-    ok = norm <= r * (1.0 + DISK_TOL)
+    ok, norm, r, e, u = _disk_test(a, *_disk_of(s))
+    ok &= not s.is_degenerate()
     if s.mode == OPERATOR_ORDER:
+        phi, varphi = (_ldexp(z, -e[..., None, None]) for z in (s.phi, s.varphi))
         du = np.conj(0.5 * (phi - varphi)) * u
         asym = np.linalg.norm(du - du.conj().swapaxes(-1, -2), axis=(-2, -1))
         ok &= asym <= SYM_RTOL * np.linalg.norm(du, axis=(-2, -1))
-    with np.errstate(over="ignore"):
-        return _verdicts(a, ok, np.ldexp(r * r - norm * norm, 2 * e))
+    return _verdicts(ok, r * r - norm * norm, 2 * e)
 
 
 # One bound of the table: lhs <= rhs, both functions of the scaled operands v
@@ -435,12 +453,10 @@ def _evaluate(t, cert, w, norm, ids=None):
     w and norm are the stack's radii and norms."""
     if isinstance(cert, DiskCertificate):
         check = check_disk(t, cert)
-    elif not isinstance(cert, SectorPair):
-        raise TypeError(f"unsupported certificate type {type(cert).__name__}")
-    elif cert.is_degenerate():
-        check = np.zeros(len(t), bool), np.full(len(t), np.nan)
-    else:
+    elif isinstance(cert, SectorPair):
         check = check_sector_hypothesis(t, cert)
+    else:
+        raise TypeError(f"unsupported certificate type {type(cert).__name__}")
     v = _scaled(cert, w, norm)
     bounds = []
     with np.errstate(all="ignore"):  # rows that a requirement leaves undefined may divide by 0

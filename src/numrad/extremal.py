@@ -17,7 +17,8 @@ pattern, so its disk excess over sqrt(|lambda|) is
 (1 + sqrt(1 + 4 |lambda|^2))/2 - sqrt(|lambda|) >= 1/2, with equality at
 |lambda| = 1/2, and its excess in the equality probe is (1 + sqrt(5))/2 - 1.
 No feasible operator exists; the searches' best scores are these values up
-to eigensolver rounding.
+to eigensolver rounding. So each search measures every trial at one center:
+1/2 (to one ulp) in the sqrt-disk search and 1 in the equality probe.
 
 One pipeline draws the trials of the sweep and of the searches: `_stacks`
 splits them into chunks of _CHUNK, `_rngs` builds a chunk's generators in
@@ -53,10 +54,13 @@ __all__ = [
     "probe_equality_case",
 ]
 
-# Log-spaced centers for the sqrt-disk search. Its middle point, index 12,
-# is 1/2 to one ulp, where the closed-form excess of every candidate is
-# least (1/2; see the module docstring).
-_LAMBDA_GRID = np.geomspace(0.0625, 4.0, 25)
+# The sqrt-disk search's one center. Every candidate's excess,
+# (1 + sqrt(1 + 4 lambda^2))/2 - sqrt(lambda) (see the module docstring), is
+# least at lambda = 1/2, so no other center can win a trial. It is one ulp
+# below 1/2, the middle point of np.geomspace(0.0625, 4.0, 25), the grid that
+# the search scanned before, so that no output moved (see the
+# `_LAMBDA_GRID[12]` FOUND line of CHANGES.md).
+_CENTER = np.nextafter(0.5, 0.0)
 # Trials drawn and measured together by the sweep and the searches: one
 # `_rngs` and one `_draw` call per chunk, then one stacked norm or bound_table
 # call. At 256 the search's peak memory grew by 13% for a gain within 3%.
@@ -305,45 +309,43 @@ def candidate_violations(t, lam) -> tuple[float, float, float]:
     it gives a search result's fields bit for bit.
     """
     lam = complex(lam)
-    norm_dev, nilpotency, excess = _violations(as_matrix(t)[None], [lam], np.sqrt([abs(lam)]))
-    return float(norm_dev[0]), float(nilpotency[0]), float(excess[0, 0])
+    norm_dev, nilpotency, excess = _violations(as_matrix(t)[None], lam, np.sqrt(abs(lam)))
+    return float(norm_dev[0]), float(nilpotency[0]), float(excess[0])
 
 
-def _violations(ts: np.ndarray, lam_values, allowed):
-    """(norm_dev, nilpotency, excess) of the stack ts (B, n, n): | ||T|| - 1 |
-    and ||T^2|| of shape (B,), and max(0, ||T - lam I|| - allowed) of shape
-    (B, len(lam_values)), one stacked norm call each."""
-    excess = np.maximum(0.0, shifted_norms(ts, lam_values) - allowed)
+def _violations(ts: np.ndarray, lam, allowed):
+    """(norm_dev, nilpotency, excess) of the stack ts (B, n, n), each of shape
+    (B,): | ||T|| - 1 |, ||T^2|| and max(0, ||T - lam I|| - allowed), one
+    stacked norm call each."""
+    excess = np.maximum(0.0, shifted_norms(ts, [lam])[:, 0] - allowed)
     return np.abs(_spectral_norms(ts) - 1.0), _spectral_norms(ts @ ts), excess
 
 
-def _search(n, iters, seed, lam_values, allowed) -> SearchResult:
+def _search(n, iters, seed, lam, allowed) -> SearchResult:
     """Random-restart search over unit-norm square-zero candidates.
 
     Each trial draws from default_rng([seed, trial]) a block strictly lower
-    triangular Ginibre candidate normalized to unit norm, and picks the
-    center in lam_values minimizing the disk excess over its allowed radius.
-    Pure restart, no local polish: every candidate's excess has the closed
-    form of the module docstring, so no refinement could lower it. Trials
-    run through `_stacks`, a chunk of _CHUNK at a time, and one stacked norm
-    call measures each quantity of a chunk; the results equal those of one
-    trial at a time bit for bit. Returns the lowest-score result, ties
-    resolved to the earliest trial.
+    triangular Ginibre candidate normalized to unit norm, and measures its
+    disk excess at the one center lam over its allowed radius. Pure restart,
+    no local polish: every candidate's excess has the closed form of the
+    module docstring, so no refinement could lower it. Trials run through
+    `_stacks`, a chunk of _CHUNK at a time, and one stacked norm call
+    measures each quantity of a chunk; the results equal those of one trial
+    at a time bit for bit. Returns the lowest-score result, ties resolved to
+    the earliest trial.
     """
     iters = int(iters)
     if iters < 1:
         raise ValueError("need iters >= 1")
     best: SearchResult | None = None
     for ts in _stacks("nilpotent", None, n, _seed_words(seed), range(iters)):
-        norm_dev, nilpotency, excess = _violations(ts, lam_values, allowed)
-        j = np.argmin(excess, axis=-1)
-        disk_excess = excess.min(axis=-1)
+        norm_dev, nilpotency, disk_excess = _violations(ts, lam, allowed)
         score = np.maximum(np.maximum(norm_dev, nilpotency), disk_excess)
         i = int(np.argmin(score))
         if best is None or score[i] < best.score:
             best = SearchResult(
                 candidate=ts[i].copy(),
-                lam=complex(lam_values[j[i]]),
+                lam=complex(lam),
                 norm_dev=float(norm_dev[i]),
                 nilpotency=float(nilpotency[i]),
                 disk_excess=float(disk_excess[i]),
@@ -355,12 +357,13 @@ def _search(n, iters, seed, lam_values, allowed) -> SearchResult:
 def search_sqrt_disk(n, iters, seed) -> SearchResult:
     """Search for unit-norm T with T^2 = 0 and ||T - lambda I|| <= sqrt(lambda).
 
-    Centers lambda run over a log grid in (0, 4]. A score of 0 would exhibit
-    a feasible operator, but none exists: every candidate's excess is
-    (1 + sqrt(1 + 4 lambda^2))/2 - sqrt(lambda) >= 1/2 (see the module
-    docstring), so the best score is 1/2, at lambda = 1/2, up to rounding.
+    A score of 0 would exhibit a feasible operator, but none exists: every
+    candidate's excess is (1 + sqrt(1 + 4 lambda^2))/2 - sqrt(lambda) >= 1/2
+    (see the module docstring), least at lambda = 1/2. So each trial is
+    measured at that one center, _CENTER, and the best score is 1/2 up to
+    rounding.
     """
-    return _search(n, iters, seed, _LAMBDA_GRID, np.sqrt(_LAMBDA_GRID))
+    return _search(n, iters, seed, _CENTER, np.sqrt(_CENTER))
 
 
 def probe_equality_case(n, iters, seed) -> SearchResult:
@@ -372,4 +375,4 @@ def probe_equality_case(n, iters, seed) -> SearchResult:
     ||T - I|| = (1 + sqrt(5))/2 (see the module docstring), the value of the
     shift S2, so the best score is (1 + sqrt(5))/2 - 1 up to rounding.
     """
-    return _search(n, iters, seed, np.array([1.0]), np.ones(1))
+    return _search(n, iters, seed, 1.0, 1.0)

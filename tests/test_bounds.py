@@ -210,18 +210,42 @@ def test_sector_hypothesis_where_phi_minus_varphi_overflows():
     (np.diag([1.7e308, 0.0]), SectorPair(1.5e308, -1.4e308), False),
     # phi + varphi overflows: the disk's center does not.
     (np.diag([1e308, 1e308j]), SectorPair(1.5e308, 1.4e308j), True),
+    # ||A - lambda I|| = 2e308 overflows: the check's value is inf, not nan.
+    (np.diag([1e308, 1e308]), SectorPair(-0.5e308, -1.5e308), False),
 ])
 def test_a_pair_beyond_the_double_range_and_its_disk_get_one_verdict(a, pair, verdict):
+    with np.errstate(over="ignore"):
+        distance = np.abs(np.diag(a) - sector_to_disk(pair).lam).max()  # A is diagonal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         disk = sector_to_disk(pair)
         assert np.isfinite(disk.lam) and np.isfinite(disk.r)
         assert check_sector_hypothesis(a, pair)[0] is verdict
-        assert check_disk(a, disk)[0] is verdict
-        (gap,) = verify_all(a, [pair])
+        ok, value = check_disk(a, disk)
+        assert ok is verdict and value == pytest.approx(distance, rel=1e-15)
+        gap, *rest = verify_all(a, [pair])
         twin = next(rep for rep in verify_all(a, [disk]) if rep.inequality_id == "T2_2")
     assert gap.inequality_id == "C2_7" and gap.hypothesis_ok is twin.hypothesis_ok is verdict
     assert gap.rhs == twin.rhs
+    # only the third pair is a sector, Re(phi conj(varphi)) > 0, which adds C3_6, C3_7 and C4_6
+    sector = (pair.phi / 2 * (pair.varphi / 2).conjugate()).real > 0
+    assert [rep.inequality_id for rep in rest] == (["C3_6", "C3_7", "C4_6"] if sector else [])
+    assert all(rep.hypothesis_ok is verdict for rep in rest)
+
+
+@pytest.mark.parametrize("a, pair", [
+    (0.5 * np.eye(2), SectorPair(1.0, -1.0)),
+    ((1 + 1j) * np.eye(2), SectorPair(1 + 1j, 1 + 1j)),
+    (np.diag([1.0, 2.0]), SectorPair(3.0, -3.0)),
+])
+def test_a_degenerate_pair_never_passes(a, pair):
+    # Each matrix lies in the pair's would-be disk, yet a degenerate pair has
+    # no disk: the check fails it, and every report says so with it.
+    ok, value = check_sector_hypothesis(a, pair)
+    assert ok is False and np.isfinite(value)
+    reports = verify_all(a, [pair])
+    assert reports and all(rep.hypothesis_ok is ok for rep in reports)
+    assert all(rep.diagnostic.startswith("degenerate sector pair") for rep in reports)
 
 
 def test_sector_to_disk():

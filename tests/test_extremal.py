@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from numrad import extremal
 from numrad.bounds import OPERATOR_ORDER, DiskCertificate, SectorPair, check_disk, check_sector_hypothesis
 from numrad.extremal import (
     candidate_violations,
@@ -20,7 +21,6 @@ from numrad.extremal import (
 )
 from numrad.extremal import (
     _CHUNK,
-    _LAMBDA_GRID,
     SearchResult,
     _draw,
     _rngs,
@@ -31,6 +31,10 @@ from numrad.linalg import _spectral_norms, hermitian_eigen, operator_norm, shift
 from numrad.numrange import numerical_radius
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # ||S2 - I|| in closed form
+# The 25 log-spaced centers that the sqrt-disk search once scanned on every
+# trial. The reference search below still scans them, so the chunked search,
+# which measures only the middle one, is checked against the full scan.
+_LAMBDA_GRID = np.geomspace(0.0625, 4.0, 25)
 
 
 # ------------------------------------------------------------------- shift2
@@ -347,13 +351,38 @@ def test_probe_best_dominates_raw_shift():
 def test_every_square_zero_candidate_has_the_closed_form_shifted_norm(n):
     # For T^2 = 0, ||T - lambda I|| = (||T|| + sqrt(||T||^2 + 4|lambda|^2))/2
     # (see the extremal module docstring). Checked on every trial of ten
-    # search chunks at every center of the sqrt-disk grid, within the
+    # search chunks at every center of the old sqrt-disk grid, within the
     # (n + 2)^2 eps of a computed norm's rounding (see numrange._norm_bound).
+    # So each trial's measured excess over sqrt(lambda) is least at the
+    # grid's middle point, the search's one center, with the runner-up at
+    # least 1e-3 behind (0.0049 in closed form, at index 11), and measuring
+    # that center alone gives the same bits.
     tol = (n + 2) ** 2 * np.finfo(float).eps
+    assert extremal._CENTER == _LAMBDA_GRID[12]
     for ts in _stacks("nilpotent", None, n, _seed_words(0), np.arange(10 * _CHUNK)):
         norm = _spectral_norms(ts)[:, None]
         closed = 0.5 * (norm + np.sqrt(norm**2 + 4.0 * _LAMBDA_GRID**2))
-        assert np.all(np.abs(shifted_norms(ts, _LAMBDA_GRID) - closed) <= tol * closed)
+        measured = shifted_norms(ts, _LAMBDA_GRID)
+        assert np.all(np.abs(measured - closed) <= tol * closed)
+        excess = measured - np.sqrt(_LAMBDA_GRID)
+        assert np.all(np.argmin(excess, axis=1) == 12)
+        assert np.all(np.sort(excess, axis=1)[:, 1] - excess[:, 12] >= 1e-3)
+        assert measured[:, 12].tobytes() == shifted_norms(ts, [extremal._CENTER])[:, 0].tobytes()
+
+
+def test_the_sqrt_disk_search_measures_one_center_per_trial(monkeypatch):
+    # Per trial: the norm that normalises the draw, ||T|| and ||T - lambda I||
+    # at the one center. T^2 is exactly zero and skips the eigensolver.
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(h):
+        matrices.append(int(np.prod(np.shape(h)[:-2])))
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    search_sqrt_disk(3, 64, 1)
+    assert sum(matrices) == 3 * 64
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
