@@ -425,14 +425,18 @@ def numerical_radius_oracle(a, samples: int, seed: int) -> float:
 
     The value is the largest |<Ax, x>| met, never below the best draw's.
     Each x is an explicit unit vector and |<Ax, x>| <= w(A) pointwise, so
-    the value never exceeds the numerical radius beyond roundoff.
+    the value never exceeds the numerical radius beyond roundoff. A 1 x 1
+    matrix draws nothing: every unit vector scores |a11|, since W(A) = {a11},
+    and the value is math.hypot of a11, as in `numerical_radius`.
     """
     a = as_matrix(a)
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
-    rng = np.random.default_rng(seed)
     n = a.shape[0]
+    if n == 1:
+        return math.hypot(a[0, 0].real, a[0, 0].imag)
+    rng = np.random.default_rng(seed)
     kept_vals, kept_x = [], []
     left = samples
     while left > 0:

@@ -356,11 +356,13 @@ def test_every_square_zero_candidate_has_the_closed_form_shifted_norm(n):
     # So each trial's measured excess over sqrt(lambda) is least at the
     # grid's middle point, the search's one center, with the runner-up at
     # least 1e-3 behind (0.0049 in closed form, at index 11), and measuring
-    # that center alone gives the same bits.
+    # that center alone gives the same bits. Each trial's norm_dev is within
+    # the 2 (n + 2)^2 eps that lets the search skip it (see extremal._search).
     tol = (n + 2) ** 2 * np.finfo(float).eps
     assert extremal._CENTER == _LAMBDA_GRID[12]
     for ts in _stacks("nilpotent", None, n, _seed_words(0), np.arange(10 * _CHUNK)):
         norm = _spectral_norms(ts)[:, None]
+        assert np.all(np.abs(norm - 1.0) <= 2.0 * tol)
         closed = 0.5 * (norm + np.sqrt(norm**2 + 4.0 * _LAMBDA_GRID**2))
         measured = shifted_norms(ts, _LAMBDA_GRID)
         assert np.all(np.abs(measured - closed) <= tol * closed)
@@ -371,8 +373,9 @@ def test_every_square_zero_candidate_has_the_closed_form_shifted_norm(n):
 
 
 def test_the_sqrt_disk_search_measures_one_center_per_trial(monkeypatch):
-    # Per trial: the norm that normalises the draw, ||T|| and ||T - lambda I||
-    # at the one center. T^2 is exactly zero and skips the eigensolver.
+    # Per trial: the norm that normalises the draw and ||T - lambda I|| at
+    # the one center, then ||T|| of the winner alone. T^2 is exactly zero
+    # and skips the eigensolver.
     matrices = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -382,7 +385,7 @@ def test_the_sqrt_disk_search_measures_one_center_per_trial(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     search_sqrt_disk(3, 64, 1)
-    assert sum(matrices) == 3 * 64
+    assert sum(matrices) == 2 * 64 + 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -461,6 +464,21 @@ def test_chunked_search_is_bit_identical_to_one_trial_at_a_time(equality, n):
         assert got.nilpotency == want.nilpotency
         assert got.disk_excess == want.disk_excess
         assert got.candidate.flags.owndata
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_chunk_within_the_norm_dev_bound_falls_back_to_its_norm_dev(n):
+    # With an allowed radius of 10 every excess is 0, so the least score of
+    # every chunk is within norm_dev's rounding bound and the argmin falls to
+    # norm_dev: the chunk measures it and still picks the reference's trial.
+    for iters in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+        got = extremal._search(n, iters, 17, 1.0, 10.0)
+        want = _search_one_trial_at_a_time(n, iters, 17, np.array([1.0]), np.array([10.0]))
+        assert got.candidate.tobytes() == want.candidate.tobytes()
+        assert got.lam == want.lam
+        assert got.norm_dev == want.norm_dev
+        assert got.nilpotency == want.nilpotency == 0.0
+        assert got.disk_excess == want.disk_excess == 0.0
 
 
 def test_search_validation():
