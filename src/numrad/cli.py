@@ -93,10 +93,12 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, int]:
     """Run the ensemble and aggregate per-identifier slack statistics.
 
     Trial i is drawn from default_rng of its own seed. The trials come a
-    chunk at a time from extremal's one trial pipeline, `_stacks`, with one
-    bound_table call per chunk, and the table's row arrays are aggregated as
-    they are. Every drawn matrix equals its one-trial generator's, and every
-    row entry the report that verify_all gives its trial alone.
+    chunk at a time from extremal's one trial pipeline, `_stacks` (1024
+    trials at n = 4, fewer for larger n), with one bound_table call per
+    chunk, and the chunks' row arrays are concatenated in trial order. Every
+    drawn matrix equals its one-trial generator's, and every row entry the
+    report that verify_all gives its trial alone, so the aggregate does not
+    depend on where the chunks are cut.
     """
     seeds = np.random.default_rng(cfg.seed).integers(0, 2**63, size=cfg.trials, dtype=np.uint64)
     chunks = [bound_table(stack, cfg.cert) for stack in _stacks(cfg.ensemble, cfg.cert, cfg.n, (), seeds)]

@@ -25,12 +25,15 @@ normalisation, below 2 (n + 2)^2 eps, so it cannot decide a score of at
 least 1/2 and is measured for the winner alone (see `_search`).
 
 One pipeline draws the trials of the sweep and of the searches: `_stacks`
-splits them into chunks of _CHUNK, `_rngs` builds a chunk's generators in
+splits them into chunks of about _CHUNK_ENTRIES matrix entries, and at
+least _CHUNK trials, `_rngs` builds a chunk's generators in
 one pass of numpy's SeedSequence hash, trial i's equal to
 np.random.default_rng([*head, values[i]]) bit for bit (default_rng(seed) in
 the sweep, default_rng([seed, trial]) in a search), and `_draw` draws the
-chunk's stack, one `ginibre` call per trial. A one-seed gen_* generator
-calls `_draw` with default_rng itself, which is cheaper for one row.
+chunk's stack, one `ginibre` call per trial. Every trial has its own
+generator and every matrix is measured on its own, so the chunk size moves
+no output. A one-seed gen_* generator calls `_draw` with default_rng itself,
+which is cheaper for one row.
 """
 
 from __future__ import annotations
@@ -67,8 +70,16 @@ __all__ = [
 _CENTER = np.nextafter(0.5, 0.0)
 # Trials drawn and measured together by the sweep and the searches: one
 # `_rngs` and one `_draw` call per chunk, then one stacked norm or bound_table
-# call. At 256 the search's peak memory grew by 13% for a gain within 3%.
+# call, each with a fixed cost per chunk. A chunk holds about _CHUNK_ENTRIES
+# matrix entries, max(_CHUNK, _CHUNK_ENTRIES // n^2) trials: 4096 at n = 2,
+# 1024 at n = 4, 256 at n = 8 and _CHUNK from n = 16, where the matrices' own
+# work outweighs that cost. A 10,000-trial n = 4 sweep of each of the four
+# ensembles, in one process with one BLAS thread on a 2-core VM, took
+# 5.6-6.5 s in chunks of 64, 4.6-5.2 s in chunks of 1024 and 3.6-4.1 s in
+# chunks of 4096, at a peak RSS of 48, 53 and 78 MB: 2^14 entries takes
+# part of the gain for 6 MB, where 4096 trials would cost 30 MB.
 _CHUNK = 64
+_CHUNK_ENTRIES = 2**14
 # numpy's SeedSequence (NEP 19): its pool of 32-bit words, the constants of
 # its entropy hash and mix, and those of generate_state.
 _POOL = 4
@@ -202,10 +213,18 @@ def _draw(ensemble, cert, n, rngs) -> np.ndarray:
 
 
 def _stacks(ensemble, cert, n, head, values):
-    """The `_draw` stack of each chunk of _CHUNK trials, trial i drawn from
-    default_rng([*head, values[i]]) through one `_rngs` call per chunk."""
-    for start in range(0, len(values), _CHUNK):
-        yield _draw(ensemble, cert, n, _rngs(head, values[start:start + _CHUNK]))
+    """The `_draw` stack of each chunk of max(_CHUNK, _CHUNK_ENTRIES // n^2)
+    trials, trial i drawn from default_rng([*head, values[i]]) through one
+    `_rngs` call per chunk.
+
+    Every trial has its own generator and every matrix is drawn and measured
+    on its own (see `_draw`), so the chunk size moves no output: it only sets
+    how many trials share a chunk's fixed cost.
+    """
+    # an n below 1 must reach `_draw`'s ValueError, not divide by zero here
+    size = max(_CHUNK, _CHUNK_ENTRIES // max(int(n), 1) ** 2)
+    for start in range(0, len(values), size):
+        yield _draw(ensemble, cert, n, _rngs(head, values[start:start + size]))
 
 
 def _seed_words(seed) -> list[int]:
@@ -269,7 +288,8 @@ def _rngs(head, values) -> list[np.random.Generator]:
     words, which are the zeros it is padded with; the words beyond the pool
     are mixed in only where the row has them. Each row's 4 state words then
     seed a PCG64 through `_seed_type`. One row costs several times
-    default_rng, but a chunk of 64 costs a fraction of it per trial.
+    default_rng, but a chunk of _CHUNK or more rows (see `_stacks`) costs a
+    fraction of it per trial.
     """
     values = np.asarray(values, np.uint64)
     high = values >> np.uint64(32)
@@ -352,9 +372,11 @@ def _search(n, iters, seed, lam, allowed) -> SearchResult:
     disk excess at the one center lam over its allowed radius. Pure restart,
     no local polish: every candidate's excess has the closed form of the
     module docstring, so no refinement could lower it. Trials run through
-    `_stacks`, a chunk of _CHUNK at a time. A trial measures two norms, of
-    T^2 (exactly zero, so no eigensolve) and of T - lam I, each in one
-    stacked call per chunk; norm_dev is measured for the winner alone.
+    `_stacks`, a chunk at a time: 4096 trials at n = 2 and 1024 at n = 4,
+    so a search of a few hundred iterations is one chunk. A trial measures
+    two norms, of T^2 (exactly zero, so no eigensolve) and of T - lam I,
+    each in one stacked call per chunk; norm_dev is measured for the winner
+    alone.
 
     That is exact. With u = eps/2 and r = (n + 2)^2 u, a computed norm is
     within r + u of the true one, relatively (the Gram product and `_eigh`'s
@@ -369,7 +391,9 @@ def _search(n, iters, seed, lam, allowed) -> SearchResult:
     chunk whose least score falls within it, as with a large allowed radius,
     measures its norm_dev and takes it into the score. Returns the
     lowest-score result, ties resolved to the earliest trial, equal bit for
-    bit to measuring every quantity of every trial one at a time.
+    bit to measuring every quantity of every trial one at a time. Both the
+    argmin and the fall-back are exact per chunk, so the result does not
+    depend on where the chunks are cut.
     """
     iters = int(iters)
     if iters < 1:

@@ -247,6 +247,18 @@ def _factors(m: np.ndarray) -> bool:
     return True
 
 
+def _failing(shifted: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The midpoints, in order, of the matrices whose midpoints fail to
+    factorise, given that the stack shifted[cuts[0]:cuts[-1]] fails; matrix j
+    holds the midpoints cuts[j]:cuts[j + 1]. A failing span of matrices is
+    split in halves, and only the halves that fail are split further."""
+    if len(cuts) == 2:
+        return np.arange(cuts[0], cuts[1])
+    half = len(cuts) // 2
+    parts = [c for c in (cuts[:half + 1], cuts[half:]) if not _factors(shifted[c[0]:c[-1]])]
+    return np.concatenate([_failing(shifted, c) for c in parts])
+
+
 def _rises(h: np.ndarray, level: np.ndarray, owner: np.ndarray):
     """(p, value) for each midpoint p whose H, h[p], has its top eigenvalue
     above level[p]; owner[p], sorted, names p's matrix.
@@ -255,15 +267,18 @@ def _rises(h: np.ndarray, level: np.ndarray, owner: np.ndarray):
     backward error, that no eigenvalue of H is above the level: the same
     kind of guarantee as the eigensolver's. One batched `cholesky` decides
     the usual case, in which no midpoint is above its level. When it raises,
-    each matrix factorises its own midpoints again, and only the matrices
-    that fail take `eigvalsh` values of their midpoints. So a matrix's
-    verdict depends only on its own midpoints, as it would alone.
+    the matrices are bisected (see `_failing`). A batched `cholesky` fails
+    exactly when one of its matrices does, so this finds the matrices that
+    fail alone, in at most 1 + 2 k ceil(log2 G) calls for k of G matrices,
+    where a call per matrix would cost G; a chunk of a thousand trials
+    makes G large. Only the matrices that fail take `eigvalsh` values of
+    their midpoints. So a matrix's verdict depends only on its own
+    midpoints, as it would alone.
     """
     shifted = level[:, None, None] * np.eye(h.shape[-1]) - h
     if _factors(shifted):
         return owner[:0], level[:0]
-    mats = np.split(shifted, np.flatnonzero(np.diff(owner)) + 1)
-    p = np.flatnonzero(np.concatenate([np.full(len(m), not _factors(m)) for m in mats]))
+    p = _failing(shifted, np.concatenate([[0], np.flatnonzero(np.diff(owner)) + 1, [len(owner)]]))
     vals = _eigh(h[p])[:, -1]
     up = vals > level[p]
     return p[up], vals[up]

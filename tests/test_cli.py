@@ -417,7 +417,9 @@ def one_trial_at_a_time(cfg):
 
 
 @pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
-def test_chunked_sweep_is_bit_identical_to_one_trial_at_a_time(ensemble):
+def test_chunked_sweep_is_bit_identical_to_one_trial_at_a_time(ensemble, monkeypatch):
+    # chunks of 64 trials at n = 4, so that 65 trials span two chunks
+    monkeypatch.setattr(extremal, "_CHUNK_ENTRIES", 64 * 4 * 4)
     for trials in (1, 64, 65):
         cfg = cli.SweepConfig(ensemble=ensemble, n=4, trials=trials, seed=trials + 5,
                               cert=SWEEP_CERTS[ensemble])
@@ -430,12 +432,13 @@ def test_chunked_sweep_is_bit_identical_to_one_trial_at_a_time(ensemble):
 
 @pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
 def test_sweep_lapack_calls_grow_with_chunks_not_trials(ensemble, monkeypatch):
-    # The verification's LAPACK calls grow with the chunks of 64 trials, not
-    # with the trials: at most 32 per chunk, where one check per trial would
-    # alone make 64. The second chunk may take a Newton step or a level-set
-    # test more than the first, so its count is bounded, not compared. Each
-    # trial is one generator call, which normalises its draw with at most
-    # one call of its own.
+    # The verification's LAPACK calls grow with the chunks, not with the
+    # trials: at most 32 per chunk that `_stacks` actually draws, where one
+    # check per trial would alone make 64. At n = 4 a chunk holds 1024
+    # trials, or 64 under a 64-trial budget, so 128 trials are one chunk or
+    # two. The second chunk may take a Newton step or a level-set test more
+    # than the first, so its count is bounded, not compared. Each chunk
+    # normalises its draws with at most one stacked norm call.
     calls = count_calls(monkeypatch, "eigvalsh", "eigh", "eigvals")
     draw_calls = []
     draw = extremal._draw
@@ -447,13 +450,16 @@ def test_sweep_lapack_calls_grow_with_chunks_not_trials(ensemble, monkeypatch):
         return stack
 
     monkeypatch.setattr(extremal, "_draw", counted_draw)
-    for trials in (64, 128):
+    for budget, trials, chunks in [(None, 64, 1), (None, 128, 1), (64 * 4 * 4, 128, 2)]:
+        if budget:
+            monkeypatch.setattr(extremal, "_CHUNK_ENTRIES", budget)
         calls.clear()
         draw_calls.clear()
         cli.run_sweep(cli.SweepConfig(ensemble=ensemble, n=4, trials=trials, seed=3,
                                       cert=SWEEP_CERTS[ensemble]))
-        assert sum(draw_calls) <= trials
-        assert len(calls) - sum(draw_calls) <= 32 * (trials // 64)
+        assert len(draw_calls) == chunks
+        assert sum(draw_calls) <= chunks
+        assert len(calls) - sum(draw_calls) <= 32 * chunks
 
 
 # ------------------------------------------------------------------- search

@@ -37,6 +37,12 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # ||S2 - I|| in closed form
 _LAMBDA_GRID = np.geomspace(0.0625, 4.0, 25)
 
 
+def chunks_of_64(monkeypatch, n):
+    """Set the chunk budget so that `_stacks` cuts n x n trials into chunks of
+    _CHUNK, as many as a test's trial counts need to span several chunks."""
+    monkeypatch.setattr(extremal, "_CHUNK_ENTRIES", _CHUNK * n * n)
+
+
 # ------------------------------------------------------------------- shift2
 
 
@@ -249,6 +255,22 @@ def test_ginibre_block_draws_the_stream_of_the_old_fill_formula():
 # ------------------------------------------------------- chunked generators
 
 
+@pytest.mark.parametrize("n, size", [(2, 4096), (3, 1820), (4, 1024), (8, 256), (16, 64), (32, 64)])
+def test_stacks_cut_chunks_by_matrix_entries_and_move_no_byte(n, size, monkeypatch):
+    # A chunk holds max(_CHUNK, _CHUNK_ENTRIES // n^2) trials. Every trial
+    # has its own generator and every matrix is drawn on its own, so chunks
+    # of _CHUNK concatenate to the same bytes.
+    cert = DiskCertificate(1 + 0.5j, 0.4)
+    values = np.arange(size + 5)
+    stacks = list(_stacks("disk", cert, n, [7], values))
+    assert [len(s) for s in stacks] == [size, 5]
+    chunks_of_64(monkeypatch, n)
+    small = list(_stacks("disk", cert, n, [7], values))
+    full, rest = divmod(size + 5, _CHUNK)
+    assert [len(s) for s in small] == [_CHUNK] * full + [rest]
+    assert np.concatenate(stacks).tobytes() == np.concatenate(small).tobytes()
+
+
 def assert_same_generators(got, entropies):
     assert len(got) == len(entropies)
     for rng, entropy in zip(got, entropies):
@@ -348,7 +370,7 @@ def test_probe_best_dominates_raw_shift():
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_every_square_zero_candidate_has_the_closed_form_shifted_norm(n):
+def test_every_square_zero_candidate_has_the_closed_form_shifted_norm(n, monkeypatch):
     # For T^2 = 0, ||T - lambda I|| = (||T|| + sqrt(||T||^2 + 4|lambda|^2))/2
     # (see the extremal module docstring). Checked on every trial of ten
     # search chunks at every center of the old sqrt-disk grid, within the
@@ -360,6 +382,7 @@ def test_every_square_zero_candidate_has_the_closed_form_shifted_norm(n):
     # the 2 (n + 2)^2 eps that lets the search skip it (see extremal._search).
     tol = (n + 2) ** 2 * np.finfo(float).eps
     assert extremal._CENTER == _LAMBDA_GRID[12]
+    chunks_of_64(monkeypatch, n)
     for ts in _stacks("nilpotent", None, n, _seed_words(0), np.arange(10 * _CHUNK)):
         norm = _spectral_norms(ts)[:, None]
         assert np.all(np.abs(norm - 1.0) <= 2.0 * tol)
@@ -444,10 +467,11 @@ def _search_one_trial_at_a_time(n, iters, seed, lam_values, allowed):
 
 @pytest.mark.parametrize("equality", [False, True], ids=["sqrt_disk", "equality"])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_chunked_search_is_bit_identical_to_one_trial_at_a_time(equality, n):
+def test_chunked_search_is_bit_identical_to_one_trial_at_a_time(equality, n, monkeypatch):
     # n = 2 equality covers ties: every 2x2 candidate is unitarily similar to
     # S2, so the scores tie up to roundoff and only the earliest-trial rule
     # picks the same bytes
+    chunks_of_64(monkeypatch, n)
     if equality:
         lam_values, allowed = np.array([1.0]), np.ones(1)
     else:
@@ -467,10 +491,11 @@ def test_chunked_search_is_bit_identical_to_one_trial_at_a_time(equality, n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_a_chunk_within_the_norm_dev_bound_falls_back_to_its_norm_dev(n):
+def test_a_chunk_within_the_norm_dev_bound_falls_back_to_its_norm_dev(n, monkeypatch):
     # With an allowed radius of 10 every excess is 0, so the least score of
     # every chunk is within norm_dev's rounding bound and the argmin falls to
     # norm_dev: the chunk measures it and still picks the reference's trial.
+    chunks_of_64(monkeypatch, n)
     for iters in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
         got = extremal._search(n, iters, 17, 1.0, 10.0)
         want = _search_one_trial_at_a_time(n, iters, 17, np.array([1.0]), np.array([10.0]))
@@ -482,7 +507,8 @@ def test_a_chunk_within_the_norm_dev_bound_falls_back_to_its_norm_dev(n):
 
 
 def test_search_validation():
-    with pytest.raises(ValueError):
-        search_sqrt_disk(1, 10, seed=0)
+    for n in (1, 0):
+        with pytest.raises(ValueError):
+            search_sqrt_disk(n, 10, seed=0)
     with pytest.raises(ValueError):
         search_sqrt_disk(2, 0, seed=0)

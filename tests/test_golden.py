@@ -31,11 +31,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from numrad import cli
+from numrad import cli, extremal
 
 ROOT = Path(__file__).resolve().parent.parent
 STACK = {"numpy": "2.4.6", "openblas": "0.3.31"}
-# 65 trials span a full chunk of 64 and a partial one.
+# One chunk of extremal's trial pipeline holds 4096 trials at n = 2 and 1024
+# at n = 4, so each sweep and search below is one chunk. Under a budget that
+# cuts chunks of 64 trials, 65 trials and 200 iterations span several chunks,
+# and they print the same bytes (see
+# test_sweeps_and_searches_print_the_same_bytes_in_chunks_of_64).
 SWEEP_TRIALS = 65
 SWEEP_SEED = 11
 SEARCH_ITERS = 200
@@ -188,6 +192,16 @@ def test_output_matches_its_golden_digest(argv, dense_dir, monkeypatch):
     if stack() != STACK:
         pytest.skip(f"digests were made under {STACK}, this stack is {stack()}")
     monkeypatch.chdir(dense_dir)
+    assert digest(argv) == DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", [a for a in golden_argvs() if a[0] in ("sweep", "search")], ids=" ".join)
+def test_sweeps_and_searches_print_the_same_bytes_in_chunks_of_64(argv, monkeypatch):
+    # A budget of no matrix entries leaves every chunk at its floor of
+    # _CHUNK = 64 trials, so the digests also cover runs of several chunks.
+    if stack() != STACK:
+        pytest.skip(f"digests were made under {STACK}, this stack is {stack()}")
+    monkeypatch.setattr(extremal, "_CHUNK_ENTRIES", 0)
     assert digest(argv) == DIGESTS[" ".join(argv)]
 
 

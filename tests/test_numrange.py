@@ -5,6 +5,7 @@ support-function sweeps cross-validate the certified radius; geometric
 invariants of the range are checked on random ensembles.
 """
 
+import math
 import warnings
 from decimal import Decimal, localcontext
 
@@ -19,13 +20,15 @@ from numrad.extremal import (
     random_unitary,
     shift2,
 )
-from numrad.linalg import hermitian_eigen, operator_norm, pow2_scaled
+from numrad.linalg import _eigh, hermitian_eigen, operator_norm, pow2_scaled
 from numrad.numrange import (
     _ORACLE_CHUNK,
     _SEED_ANGLES,
     LEVEL_RTOL,
     SEED_GRID,
     _ascend,
+    _factors,
+    _rises,
     _seed_supports,
     is_convex_polyline,
     numerical_radius,
@@ -423,6 +426,41 @@ def test_second_test_draw_takes_its_second_test_through_the_cholesky_fallback(mo
     tests = count_calls(monkeypatch, "eigvals")
     numerical_radius(gen_disk_instance(*SECOND_TEST_DRAW)[0])
     assert len(tests) == 2 and raised
+
+
+def _rises_one_matrix_at_a_time(h, level, owner):
+    """Reference for `_rises` after its batched `cholesky` fails: each matrix
+    factorises its own midpoints, and those of the matrices that fail take
+    one `eigvalsh` call together."""
+    shifted = level[:, None, None] * np.eye(h.shape[-1]) - h
+    p = np.concatenate([np.flatnonzero(owner == k) for k in np.unique(owner)
+                        if not _factors(shifted[owner == k])])
+    vals = _eigh(h[p])[:, -1]
+    up = vals > level[p]
+    return p[up], vals[up]
+
+
+@pytest.mark.parametrize("failing", [[0], [18], [36], [0, 18, 36], list(range(37))],
+                         ids=["start", "middle", "end", "three", "all"])
+def test_rises_bisects_to_the_matrices_that_fail_their_cholesky(failing, monkeypatch):
+    # 37 matrices with 1 to 4 midpoints each. A failing matrix has one
+    # midpoint whose level is below its top eigenvalue; every other level is
+    # well above. The bisection finds the same midpoints and values as a
+    # factorisation per matrix, bit for bit, in about 2 k log2(G) calls.
+    rng = np.random.default_rng(25)
+    owner = np.repeat(np.arange(37), rng.integers(1, 5, size=37))
+    g = rng.standard_normal((len(owner), 4, 4)) + 1j * rng.standard_normal((len(owner), 4, 4))
+    h = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    top = np.linalg.eigvalsh(h)[:, -1]
+    level = top + 0.5
+    first = np.searchsorted(owner, failing)
+    level[first] = top[first] - 0.5
+    want = _rises_one_matrix_at_a_time(h, level, owner)
+    calls = count_calls(monkeypatch, "cholesky")
+    got = _rises(h, level, owner)
+    assert got[0].tolist() == want[0].tolist() == first.tolist()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert len(calls) <= 1 + 2 * len(failing) * math.ceil(math.log2(37))
 
 
 def test_stacked_radius_of_empty_and_one_matrix_stacks():
