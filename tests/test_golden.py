@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from numrad import cli, extremal
+from numrad import bounds, cli, extremal
+from numrad.linalg import _spectral_norms
 
 ROOT = Path(__file__).resolve().parent.parent
 STACK = {"numpy": "2.4.6", "openblas": "0.3.31"}
@@ -54,7 +55,11 @@ DENSE_INPUTS = 8
 # - w^2 now squares with x * x, not the C pow of a Python float). Evaluating
 # the sector rows on the pair's equivalent disk moved the two segment sweeps
 # (C4_6, R4_10 and R4_11 slacks) and the eight verify runs (C4_6, and on m7
-# the disk's T3_2 and T4_2), each value by at most 4.5e-16.
+# the disk's T3_2 and T4_2), each value by at most 4.5e-16. The radius's
+# probe, which certifies Hermitian and square-zero matrices from f(0) and
+# f(pi) alone, moved the segment n = 4 sweep and compute and verify of m2 and
+# m6 (Hermitian) and m5 (square-zero): each w by at most 3.3e-16, the sweep's
+# slacks by at most 1.8e-15 (see CHANGES.md).
 DIGESTS = {
     "sweep --ensemble=disk --n=2 --trials=65 --seed=11 --lambda=1,0.5 --r=0.4":
         "c1adb090f3e1dbeff0c36da45a85fb2227cb67be8ef0774a4744d0b2faf6c07c",
@@ -63,7 +68,7 @@ DIGESTS = {
     "sweep --ensemble=segment --n=2 --trials=65 --seed=11 --m=1 --M=3":
         "c94751ca6bd6bb41b1d5679ec8f674b21f0d2287a51a1381c375600af9ba6951",
     "sweep --ensemble=segment --n=4 --trials=65 --seed=11 --m=1 --M=3":
-        "1f160834c66de24cae9ed9f8eb74e33759cdf83a53cbd2c357cbe9a8b1aef610",
+        "bb6086217754130f5a39b583a6c8f750fbcfefc7faa48ab2ca5204fa66cf5f80",
     "sweep --ensemble=ginibre --n=2 --trials=65 --seed=11 --lambda=0.5,0 --r=1.2":
         "671f144f6c55f2928a9291891f35fb374f066d53bfce8979577e2ef64b83cc5d",
     "sweep --ensemble=ginibre --n=4 --trials=65 --seed=11 --lambda=0.5,0 --r=1.2":
@@ -93,9 +98,9 @@ DIGESTS = {
     "verify m1.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
         "62cad7ee1481f38d7ad70ecc7ba085c6d286b6fc8a2f06a3ba71b153bb453ca3",
     "compute m2.json --out=m2.csv":
-        "c2f499f2d6eeb40e207d67533320fe00f5e91dc181322f0cf9dee06f4b04b5af",
+        "be9afb6da6f79f6a0af4c0f973c428c9053f178bb27c28b7fdc2362c61e2f339",
     "verify m2.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "6fee312d17d0b7c710c242ef4629661cf9ebafc753bd6aa89a09b33d3f7eab42",
+        "2ee2739ff6d4ac62a9a15ae24ac34c316321e16746860ebbf735b7f8f0e30bfd",
     "compute m3.json --out=m3.csv":
         "340951a0a7be66402524e1f97eaa8c13e0d873390fdf385dcdcba1b513415552",
     "verify m3.json --auto --phi=0.08384354252077744,-1.625013338905604 --varphi=-0.3364543909257569,-1.0689095244766018":
@@ -105,13 +110,13 @@ DIGESTS = {
     "verify m4.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
         "f36eb8300e7a59566a73e52672b503b80f033841127313bda58700afaa58db08",
     "compute m5.json --out=m5.csv":
-        "eb28afcbf05e3d243bdd228f8738207b2d7b7959357c6a60b34ad8efc3034a1c",
+        "7b504e1b8387f81ee47875e6bbe3690d5d8e42a255ed0deb717fb6e019a1c9fd",
     "verify m5.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "44699d22600cd9a819a1f6bf7ab2f9e7f15c3f6045cfed0d28b797b746bb198c",
+        "baaaa25cb8f0f63b5df96d2aba902ae596a5fc7a4f3f7f157d302633f4d884f8",
     "compute m6.json --out=m6.csv":
-        "7d800f1b19faccd693d0877dd27f135d6b04d7a428a49b6676c5a3851191fc16",
+        "699f6ca59593492f1e20beff087f6bc74d79978a8147a9d5eb6a3530223fcc4f",
     "verify m6.json --auto --phi=1.0,0.5 --varphi=0.5,-0.25":
-        "854bf246f53b38d7e5b7dcc8e22380ff614f52d164a65a216cbd23eabcf47b78",
+        "053fd455a865903f05651d65dd244488ac63eaf84ccbbecd942c598fbfc220bf",
     "compute m7.json --out=m7.csv":
         "3d271582380e815bab5d2b647d75531a61edce2d36af4197c8a0c14ef4718547",
     "verify m7.json --auto --phi=1.458915616945347,0.9909825649257914 --varphi=1.9143181327538223,0.8003938304268118":
@@ -203,6 +208,25 @@ def test_sweeps_and_searches_print_the_same_bytes_in_chunks_of_64(argv, monkeypa
         pytest.skip(f"digests were made under {STACK}, this stack is {stack()}")
     monkeypatch.setattr(extremal, "_CHUNK_ENTRIES", 0)
     assert digest(argv) == DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", [a for a in golden_argvs() if a[0] in ("sweep", "verify")], ids=" ".join)
+def test_tables_take_the_spectral_norm_of_each_matrix(argv, dense_dir, monkeypatch):
+    # bound_table and verify_all take ||T|| from the radius's norm bound,
+    # which measures it on T scaled by a power of two. That scaling is exact,
+    # so the norm is `_spectral_norms(T)` bit for bit, on every stack.
+    monkeypatch.chdir(dense_dir)
+    same = []
+    evaluate = bounds._evaluate
+
+    def spy(t, cert, w, norm, ids=None):
+        same.append(norm.tobytes() == _spectral_norms(t).tobytes())
+        return evaluate(t, cert, w, norm, ids)
+
+    monkeypatch.setattr(bounds, "_evaluate", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert same and all(same)
 
 
 if __name__ == "__main__":

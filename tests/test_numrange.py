@@ -5,6 +5,7 @@ support-function sweeps cross-validate the certified radius; geometric
 invariants of the range are checked on random ensembles.
 """
 
+import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -247,8 +248,8 @@ def count_calls(monkeypatch, *names):
     for name in names:
         orig = getattr(np.linalg, name)
 
-        def counted(*args, _orig=orig, **kwargs):
-            calls.append(1)
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -258,12 +259,13 @@ def count_calls(monkeypatch, *names):
 @pytest.mark.parametrize("seed", range(6))
 def test_radius_of_square_zero_stops_newton_at_once(seed, monkeypatch):
     # W(T) of a square-zero T is the disk of radius ||T||/2 about 0, so the
-    # support function is flat: one grid sweep, one Newton evaluation that
-    # sees f'' ~ 0, and one norm sweep, whose bound certifies the radius.
+    # support function is flat: the probe's f(0) and f(pi) already meet the
+    # norm sweep's bound, which certifies the radius before any seed grid or
+    # Newton evaluation.
     t = gen_nilpotent_instance(2 + seed, seed)
     calls = count_calls(monkeypatch, "eigvalsh", "eigh")
     w = numerical_radius(t)
-    assert len(calls) <= 3
+    assert calls == ["eigvalsh", "eigvalsh"]
     assert abs(w - 0.5 * operator_norm(t)) <= 1e-12 * w
 
 
@@ -276,6 +278,65 @@ def normaloid_and_square_zero(n, rng):
     square_zero = gen_nilpotent_instance(n, int(rng.integers(1 << 30)))
     return [(herm, np.abs(np.linalg.eigvalsh(herm)).max()), ((u * d) @ u.conj().T, np.abs(d).max()),
             (square_zero, 0.5 * operator_norm(square_zero))]
+
+
+def probe_certified(n, rng):
+    """(A, w(A)) for Hermitian A with lambda_max > -lambda_min, with
+    -lambda_min > lambda_max and with a double top eigenvalue, and for a
+    square-zero A: the probe's f(0) or f(pi) is w(A), and the norm bound
+    meets it."""
+    herm = rand_hermitian(rng, n)
+    u = random_unitary(n, rng)
+    spec = rng.uniform(-1.0, 1.0, n)
+    spec[:2] = 2.0, 2.0
+    double = 0.5 * ((u * spec) @ u.conj().T + ((u * spec) @ u.conj().T).conj().T)
+    square_zero = gen_nilpotent_instance(n, int(rng.integers(1 << 30)))
+    cases = [(h, np.abs(np.linalg.eigvalsh(h)).max()) for h in (herm, -herm, double)]
+    return cases + [(square_zero, 0.5 * operator_norm(square_zero))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 32])
+def test_probe_certified_radii_take_one_eigvalsh_besides_the_norm_bounds(n, monkeypatch):
+    # The probe's eigvalsh of H(0) and the norm bound's eigvalsh decide these
+    # matrices, alone or stacked: no seed grid, Newton step, level-set solve
+    # or midpoint. w is max |lambda| or ||T||/2 to the eigensolvers' rounding.
+    cases = probe_certified(n, np.random.default_rng(90 + n))
+    calls = count_calls(monkeypatch, "eigvalsh", "eigh", "eigvals", "solve", "cholesky")
+    alone = []
+    for a, expected in cases:
+        before = len(calls)
+        alone.append(numerical_radius(a))
+        assert calls[before:] == ["eigvalsh", "eigvalsh"]
+        assert abs(alone[-1] - expected) <= (n + 2) ** 2 * np.finfo(float).eps * expected
+    before = len(calls)
+    assert numerical_radius(np.array([a for a, _ in cases])).tolist() == alone
+    assert calls[before:] == ["eigvalsh", "eigvalsh"]
+
+
+def mixed_radius_stack(n):
+    """A zero matrix, Hermitian H with -lambda_min > lambda_max, a square-zero
+    matrix, e^{i phi} H, a Ginibre and a disk draw: the probe certifies the
+    first three, the last three take the seed grid."""
+    rng = np.random.default_rng(80 + n)
+    u = random_unitary(n, rng)
+    spec = np.linspace(-3.0, 1.0, n)
+    h = (u * spec) @ u.conj().T
+    h = 0.5 * (h + h.conj().T)
+    return np.array([np.zeros((n, n), dtype=complex), h, gen_nilpotent_instance(n, 5), np.exp(0.7j) * h,
+                     ginibre(n, rng), gen_disk_instance(1 + 0.5j, 0.4, n, 6)[0]])
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_mixed_stack_radii_are_the_one_matrix_radii_in_any_order(n):
+    stack = mixed_radius_stack(n)
+    alone = [numerical_radius(a) for a in stack]
+    assert repr(alone[0]) == "0.0"
+    orders = itertools.permutations(range(len(stack))) if n == 2 else (
+        np.random.default_rng(n).permutation(len(stack)) for _ in range(24))
+    for order in map(list, orders):
+        w = numerical_radius(stack[order])
+        assert w.tolist() == [alone[i] for i in order]
+        assert not np.signbit(w).any()
 
 
 @pytest.mark.parametrize("n", [4, 32])
@@ -440,13 +501,15 @@ def _rises_one_matrix_at_a_time(h, level, owner):
     return p[up], vals[up]
 
 
-@pytest.mark.parametrize("failing", [[0], [18], [36], [0, 18, 36], list(range(37))],
-                         ids=["start", "middle", "end", "three", "all"])
+@pytest.mark.parametrize("failing", [[0], [18], [36], [0, 18, 36], list(range(37)), list(range(0, 37, 2)),
+                                     list(range(20)), list(range(5, 37)), [1, 2, 3, 17, 18, 30, 31]],
+                         ids=["start", "middle", "end", "three", "all", "alternate", "prefix", "suffix", "runs"])
 def test_rises_bisects_to_the_matrices_that_fail_their_cholesky(failing, monkeypatch):
     # 37 matrices with 1 to 4 midpoints each. A failing matrix has one
     # midpoint whose level is below its top eigenvalue; every other level is
     # well above. The bisection finds the same midpoints and values as a
-    # factorisation per matrix, bit for bit, in about 2 k log2(G) calls.
+    # factorisation per matrix, bit for bit, in about 2 k log2(G) calls for
+    # k isolated failures, and in G + 3 when all G fail.
     rng = np.random.default_rng(25)
     owner = np.repeat(np.arange(37), rng.integers(1, 5, size=37))
     g = rng.standard_normal((len(owner), 4, 4)) + 1j * rng.standard_normal((len(owner), 4, 4))
@@ -461,6 +524,8 @@ def test_rises_bisects_to_the_matrices_that_fail_their_cholesky(failing, monkeyp
     assert got[0].tolist() == want[0].tolist() == first.tolist()
     assert got[1].tobytes() == want[1].tobytes()
     assert len(calls) <= 1 + 2 * len(failing) * math.ceil(math.log2(37))
+    if len(failing) == 37:
+        assert len(calls) <= 37 + 3
 
 
 def test_stacked_radius_of_empty_and_one_matrix_stacks():

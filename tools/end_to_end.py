@@ -12,8 +12,9 @@ script in another checkout times that checkout. Set OPENBLAS_NUM_THREADS
 in the environment to pin the BLAS threads; the value is echoed.
 
 The commands are the search and sweep sizes that name the package's
-end-to-end targets: a 100,000-iteration search and two 10,000-trial sweeps,
-at n = 4. Standard library only; peak RSS is the child's ru_maxrss (Linux
+end-to-end targets: a 100,000-iteration search and three 10,000-trial
+sweeps, at n = 4: disk and ginibre draws, which take the radius's level-set
+test, and Hermitian segment draws, which its probe certifies. Standard library only; peak RSS is the child's ru_maxrss (Linux
 reports it in KiB).
 """
 
@@ -33,6 +34,8 @@ COMMANDS = {
                                     "--lambda", "1,0.5", "--r", "0.4"],
     "sweep ginibre n=4 trials=10000": ["sweep", "--ensemble", "ginibre", "--n", "4", "--trials", "10000",
                                        "--seed", "7", "--lambda", "0.5,0", "--r", "1.2"],
+    "sweep segment n=4 trials=10000": ["sweep", "--ensemble", "segment", "--n", "4", "--trials", "10000",
+                                       "--seed", "7", "--m", "1", "--M", "3"],
 }
 
 
