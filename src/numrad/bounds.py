@@ -78,7 +78,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .linalg import _as_stack, _eigh, _ldexp, _spectral_norms, as_matrix, operator_norm, pow2_scaled, shifted_norms
-from .numrange import _SEED_ANGLES, _radius_and_norm, _seed_supports, numerical_radius
+from .numrange import _SEED_ANGLES, _seed_supports, numerical_radius
 
 __all__ = [
     "DegenerateSector",
@@ -482,7 +482,7 @@ def bound_table(t, cert) -> list:
     reports for matrix i alone.
     """
     t = _as_stack(t).reshape(-1, *np.shape(t)[-2:])
-    return _evaluate(t, cert, *_radius_and_norm(t))[1]
+    return _evaluate(t, cert, numerical_radius(t), _spectral_norms(t))[1]
 
 
 def _reports(cert, check, bounds, i, w, norm) -> list:
@@ -601,7 +601,7 @@ def verify_all(t, certs) -> list:
     identifier order, stably over certificates.
     """
     t = as_matrix(t)[None]
-    w, norm = _radius_and_norm(t)
+    w, norm = numerical_radius(t), _spectral_norms(t)
     reports = (rep for cert in certs
                for rep in _reports(cert, *_evaluate(t, cert, w, norm), 0, w[0], norm[0]))
     return sorted(reports, key=lambda rep: _ID_ORDER[rep.inequality_id])

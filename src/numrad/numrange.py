@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import NoConvergence, _as_stack, _eigh, _ldexp, _spectral_norms, as_matrix, pow2_scaled
+from .linalg import NoConvergence, _as_stack, _eigh, _ldexp, _spectral_norms, as_matrix, operator_norm, pow2_scaled
 
 __all__ = [
     "Boundary",
@@ -84,7 +84,7 @@ def _hermitian_stack(a: np.ndarray, ac: np.ndarray, owner: np.ndarray, thetas) -
     return np.multiply(0.5, np.add(h, g, out=h), out=h)
 
 
-def _seed_supports(a: np.ndarray, ac: np.ndarray, first=None):
+def _seed_supports(a: np.ndarray, ac: np.ndarray):
     """Support values of each matrix of the stack a (B, n, n) at the
     _SEED_ANGLES, shape (B, SEED_GRID), and its H(theta) at the first half of
     them, shape (B, SEED_GRID // 2, n, n).
@@ -92,14 +92,11 @@ def _seed_supports(a: np.ndarray, ac: np.ndarray, first=None):
     Since H(theta + pi) = -H(theta), one eigvalsh over the first half gives
     both: angle k + SEED_GRID / 2 takes -lambda_min of angle k. Those values
     agree with a sweep of every angle to eigensolver roundoff, not bit for bit.
-    first, when given, holds the eigenvalues of H(0), shape (B, 1, n), and the
-    eigensolve skips angle 0: each matrix is solved on its own, so the values
-    keep their bits.
     """
     count, n, half = a.shape[0], a.shape[-1], SEED_GRID // 2
     pairs = np.arange(count).repeat(half), np.tile(_SEED_ANGLES[:half], count)
     stack = _hermitian_stack(a, ac, *pairs).reshape(count, half, n, n)
-    vals = _eigh(stack) if first is None else np.concatenate([first, _eigh(stack[:, 1:])], axis=1)
+    vals = _eigh(stack)
     return np.concatenate([vals[..., -1], -vals[..., 0]], axis=1), stack
 
 
@@ -203,10 +200,9 @@ def _starts(owner: np.ndarray, thetas: np.ndarray, vals: np.ndarray):
     return owner[keep], thetas[order][keep]
 
 
-def _norm_bound(a: np.ndarray) -> tuple:
-    """(U, ||A||): U an upper bound on (||A|| + ||A^2||^(1/2)) / 2, so on
-    w(A), for each matrix of the stack a (B, n, n), whose largest entries are
-    in [1/2, 1), and the computed norm ||A|| it is built from.
+def _norm_bound(a: np.ndarray) -> np.ndarray:
+    """An upper bound on (||A|| + ||A^2||^(1/2)) / 2, so on w(A), for each
+    matrix of the stack a (B, n, n), whose largest entries are in [1/2, 1).
 
     w(A) <= (||A|| + ||A^2||^(1/2)) / 2 is Kittaneh's bound (Studia Math. 158,
     2003): equality holds for normaloid A (w = ||A||, as for Hermitian and
@@ -239,7 +235,7 @@ def _norm_bound(a: np.ndarray) -> tuple:
     mag = np.abs(a)
     mag2 = mag @ mag
     f = np.sqrt(np.einsum("bij,bij->b", mag2, mag2))
-    return 0.5 * (n1 + np.sqrt(n2 + 2.0 * g * f)) * (1.0 + 2.0 * (n + 2) ** 2 * _EPS), n1
+    return 0.5 * (n1 + np.sqrt(n2 + 2.0 * g * f)) * (1.0 + 2.0 * (n + 2) ** 2 * _EPS)
 
 
 def _factors(m: np.ndarray) -> bool:
@@ -251,30 +247,16 @@ def _factors(m: np.ndarray) -> bool:
     return True
 
 
-def _failing(shifted: np.ndarray, cuts: np.ndarray, dense: bool = False) -> np.ndarray:
+def _failing(shifted: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """The midpoints, in order, of the matrices whose midpoints fail to
     factorise, given that the stack shifted[cuts[0]:cuts[-1]] fails; matrix j
-    holds the midpoints cuts[j]:cuts[j + 1].
-
-    A failing span is halved. When one half factorises, the other fails and
-    is split further; when both fail, many of the span's matrices may, and
-    each half is taken dense: its matrices are factorised one at a time while
-    they fail, and the rest after the first that passes is split again if it
-    fails (it does when none failed before it). So a stack whose G matrices
-    all fail costs G + 3 calls, and a few isolated failures cost as bisection.
-    """
+    holds the midpoints cuts[j]:cuts[j + 1]. A failing span of matrices is
+    split in halves, and only the halves that fail are split further."""
     if len(cuts) == 2:
         return np.arange(cuts[0], cuts[1])
-    if dense:
-        j = next((j for j in range(len(cuts) - 1) if _factors(shifted[cuts[j]:cuts[j + 1]])), len(cuts) - 1)
-        rest = cuts[j + 1:]
-        more = len(rest) > 1 and not (j and _factors(shifted[rest[0]:rest[-1]]))
-        return np.concatenate([np.arange(cuts[0], cuts[j])] + ([_failing(shifted, rest)] if more else []))
-    halves = cuts[:len(cuts) // 2 + 1], cuts[len(cuts) // 2:]
-    for i, c in enumerate(halves):
-        if _factors(shifted[c[0]:c[-1]]):
-            return _failing(shifted, halves[1 - i])
-    return np.concatenate([_failing(shifted, c, True) for c in halves])
+    half = len(cuts) // 2
+    parts = [c for c in (cuts[:half + 1], cuts[half:]) if not _factors(shifted[c[0]:c[-1]])]
+    return np.concatenate([_failing(shifted, c) for c in parts])
 
 
 def _rises(h: np.ndarray, level: np.ndarray, owner: np.ndarray):
@@ -287,11 +269,11 @@ def _rises(h: np.ndarray, level: np.ndarray, owner: np.ndarray):
     the usual case, in which no midpoint is above its level. When it raises,
     the matrices are bisected (see `_failing`). A batched `cholesky` fails
     exactly when one of its matrices does, so this finds the matrices that
-    fail alone, in at most 1 + 2 k ceil(log2 G) calls for k isolated ones of
-    G matrices and G + 3 when all fail, where a call per matrix would cost
-    G + 1; a chunk of a thousand trials makes G large. Only the matrices that
-    fail take `eigvalsh` values of their midpoints. So a matrix's verdict
-    depends only on its own midpoints, as it would alone.
+    fail alone, in at most 1 + 2 k ceil(log2 G) calls for k of G matrices,
+    where a call per matrix would cost G; a chunk of a thousand trials
+    makes G large. Only the matrices that fail take `eigvalsh` values of
+    their midpoints. So a matrix's verdict depends only on its own
+    midpoints, as it would alone.
     """
     shifted = level[:, None, None] * np.eye(h.shape[-1]) - h
     if _factors(shifted):
@@ -302,23 +284,23 @@ def _rises(h: np.ndarray, level: np.ndarray, owner: np.ndarray):
     return p[up], vals[up]
 
 
-def _refine(a: np.ndarray, ac: np.ndarray, first: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Steps 3 to 5 of `numerical_radius` on the matrices the probe left,
-    the pow2-scaled stack a with conjugates ac: the attained L of each.
-    first holds the eigenvalues of H(0), shape (B, 1, n), and bound
-    `_norm_bound`'s U."""
-    sup, stack = _seed_supports(a, ac, first)
+def _refine(a: np.ndarray, ac: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Steps 3 to 5 of `numerical_radius` for the matrices that the probe
+    leaves uncertified: the attained L of each matrix of the pow2-scaled stack
+    a, with conjugates ac and norm bounds bound."""
+    sup, stack = _seed_supports(a, ac)
     ring = np.concatenate([sup[:, -1:], sup, sup[:, :1]], axis=1)
     owner, k = np.nonzero((sup >= ring[:, :-2]) & (sup >= ring[:, 2:]))
     best = sup.max(axis=1)
     _polish(a, ac, *_starts(owner, _SEED_ANGLES[k], sup[owner, k]), best)
     live = np.flatnonzero(best * (1.0 + LEVEL_RTOL) < bound)
 
-    n, half = a.shape[-1], stack.shape[1]
     k = np.argmin(sup, axis=1)
     psi = _SEED_ANGLES[k]
+    n, half = a.shape[-1], stack.shape[1]
     h = stack[np.arange(len(a)), k % half] * np.where(k < half, 1.0, -1.0)[:, None, None]
-    dh = 0.5j * (np.exp(1j * psi)[:, None, None] * a - np.exp(-1j * psi)[:, None, None] * ac.swapaxes(-1, -2))
+    ah = ac.swapaxes(-1, -2)
+    dh = 0.5j * (np.exp(1j * psi)[:, None, None] * a - np.exp(-1j * psi)[:, None, None] * ah)
     eye = np.eye(n)
     for _ in range(_MAX_TESTS):
         if not live.size:
@@ -345,31 +327,6 @@ def _refine(a: np.ndarray, ac: np.ndarray, first: np.ndarray, bound: np.ndarray)
     return best
 
 
-def _radius_and_norm(a) -> tuple:
-    """(w(A), ||A||) of a matrix or of each matrix of a stack (..., n, n), as
-    arrays of shape a.shape[:-2]: the radius of `numerical_radius` and the
-    norm that its bound measures, with the bits of `_spectral_norms`, since
-    power-of-two scaling is exact for it."""
-    a = _as_stack(a)
-    shape, n = a.shape[:-2], a.shape[-1]
-    if n == 1:
-        # math.hypot per entry: it rounds |a11| correctly, where numpy's hypot
-        # and abs can be 1 ulp off (abs by the array's layout, so by its stack).
-        w = np.array([math.hypot(z.real, z.imag) for z in a.ravel().tolist()]).reshape(shape)
-        return w, _spectral_norms(a)
-    a, e = pow2_scaled(a.reshape(-1, n, n))
-    ac = a.conj()
-    first = _eigh(_hermitian_stack(a, ac, np.arange(len(a)), np.zeros(len(a))))
-    bound, norm = _norm_bound(a)
-    # max(f(0), f(pi)) = max(lambda_max, -lambda_min) of H(0); + 0.0 turns a
-    # zero matrix's -0.0 into 0.0.
-    w = np.maximum(first[:, -1], -first[:, 0]) + 0.0
-    rest = np.flatnonzero(w * (1.0 + LEVEL_RTOL) < bound)
-    if rest.size:
-        w[rest] = _refine(a[rest], ac[rest], first[rest, None], bound[rest])
-    return np.ldexp(w, e).reshape(shape), np.ldexp(norm, e).reshape(shape)
-
-
 def numerical_radius(a):
     """Numerical radius w(A) = max over theta of the top eigenvalue f(theta) of H(theta).
 
@@ -391,13 +348,13 @@ def numerical_radius(a):
        normal A, and for A^2 = 0, the two ends of ||A||/2 <= w(A) <= ||A||;
        its margin is below LEVEL_RTOL for n <= 45. So the probe finishes
        Hermitian A, whose w is max |lambda| = max(f(0), f(pi)), and
-       square-zero A, whose W(A) is a disk about 0. Other matrices, e^{i phi} H
-       among them unless phi is a multiple of pi, go on to steps 3 to 5 (see
-       `_refine`); a stack with none of them returns here.
-    3. Seed grid: the local maxima of f on a SEED_GRID-angle grid, which
-       reuses the probe's angle 0 (see `_seed_supports`), start Newton steps
-       (see `_polish`); L rises to the largest f met. A matrix with r >= U
-       now is certified too.
+       square-zero A, whose W(A) is a disk about 0. The other matrices, among
+       them e^{i phi} H unless phi is a multiple of pi, go on to steps 3 to 5
+       (see `_refine`), which do not use the probe's values, so their radii
+       are those of a search without the probe, bit for bit.
+    3. The local maxima of f on a SEED_GRID-angle grid (see
+       `_seed_supports`) start Newton steps (see `_polish`); L is the
+       largest f met. A matrix with r >= U now is certified too.
     4. Level-set test at r for the other matrices. With
        theta = phi + 2 atan(t), (1 + t^2)(H(theta) - r I) is the Hermitian
        quadratic P(t) = t^2 (H(psi) - r I) - 2 t H'(psi) - (H(psi) + r I),
@@ -425,8 +382,25 @@ def numerical_radius(a):
     the level-set solve, which would be singular for it. A 1 x 1 matrix
     skips the iteration: its radius is |a11|, since W(A) = {a11}.
     """
-    w = _radius_and_norm(a)[0]
-    return float(w) if not w.shape else w
+    a = _as_stack(a)
+    shape, n = a.shape[:-2], a.shape[-1]
+    if n == 1:
+        # math.hypot per entry: it rounds |a11| correctly, where numpy's hypot
+        # and abs can be 1 ulp off (abs by the array's layout, so by its stack).
+        w = np.array([math.hypot(z.real, z.imag) for z in a.ravel().tolist()]).reshape(shape)
+        return float(w) if not shape else w
+    a, e = pow2_scaled(a.reshape(-1, n, n))
+    ac = a.conj()
+    # max(f(0), f(pi)) = max(lambda_max, -lambda_min) of H(0); + 0.0 turns a
+    # zero matrix's -0.0 into 0.0.
+    top = _eigh(_hermitian_stack(a, ac, np.arange(len(a)), np.zeros(len(a))))
+    best = np.maximum(top[:, -1], -top[:, 0]) + 0.0
+    bound = _norm_bound(a)
+    rest = np.flatnonzero(best * (1.0 + LEVEL_RTOL) < bound)
+    if rest.size:
+        best[rest] = _refine(a[rest], ac[rest], bound[rest])
+    w = np.ldexp(best, e)
+    return float(w[0]) if not shape else w.reshape(shape)
 
 
 def _top(vals: np.ndarray, k: int) -> np.ndarray:
@@ -522,8 +496,12 @@ def range_summary(a, n_theta: int = BOUNDARY_GRID) -> RangeSummary:
 
     n_theta sets the boundary samples only; the radius does not depend on it.
     """
-    w, norm = _radius_and_norm(as_matrix(a))
-    return RangeSummary(radius=float(w), norm=float(norm), boundary=numerical_range_boundary(a, n_theta))
+    a = as_matrix(a)
+    return RangeSummary(
+        radius=numerical_radius(a),
+        norm=operator_norm(a),
+        boundary=numerical_range_boundary(a, n_theta),
+    )
 
 
 def is_convex_polyline(points, tol: float = 1e-9) -> bool:
