@@ -30,10 +30,12 @@ least _CHUNK trials, `_rngs` builds a chunk's generators in
 one pass of numpy's SeedSequence hash, trial i's equal to
 np.random.default_rng([*head, values[i]]) bit for bit (default_rng(seed) in
 the sweep, default_rng([seed, trial]) in a search), and `_draw` draws the
-chunk's stack, one `ginibre` call per trial. Every trial has its own
-generator and every matrix is measured on its own, so the chunk size moves
-no output. A one-seed gen_* generator calls `_draw` with default_rng itself,
-which is cheaper for one row.
+chunk's stack. Each trial's normals go straight into the chunk's one float
+buffer of normal planes, one `ginibre(..., out=)` call per trial, and the
+complex stack is built from that buffer once (see `_gaussians`). Every
+trial has its own generator and every matrix is measured on its own, so the
+chunk size moves no output. A one-seed gen_* generator calls `_draw` with
+default_rng itself, which is cheaper for one row.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def orthogonal_ranges_check(t) -> bool:
     return sq <= 1e-10 * float(np.linalg.norm(t)) ** 2
 
 
-def ginibre(n, rng: np.random.Generator) -> np.ndarray:
+def ginibre(n, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of independent standard complex Gaussian entries.
 
     n x n for an int n, else of the tuple shape n, such as (rows, cols). The
@@ -115,11 +117,18 @@ def ginibre(n, rng: np.random.Generator) -> np.ndarray:
     stream of one call for each part. The two planes are written into the
     parts of one complex array, which gives the bytes of z[0] + 1j z[1]
     without its two complex temporaries.
+
+    Given out, a C-contiguous float array of shape (2, *shape), the same
+    stream is drawn into it instead, the real plane then the imaginary
+    plane, and out is returned: the planes of the complex form, bit for bit,
+    for a caller that assembles many draws at once (see `_gaussians`).
     """
-    g = np.empty(n if isinstance(n, tuple) else (n, n), complex)
-    z = rng.standard_normal((2, *g.shape))
-    g.real = z[0]
-    g.imag = z[1]
+    shape = n if isinstance(n, tuple) else (n, n)
+    z = rng.standard_normal((2, *shape), out=out)
+    if out is not None:
+        return z
+    g = np.empty(shape, complex)
+    g.real, g.imag = z
     return g
 
 
@@ -133,6 +142,22 @@ def _haar(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
+
+
+def _gaussians(shape, rngs) -> np.ndarray:
+    """A stack (B, *shape) of `ginibre` draws, one from each generator.
+
+    Each trial's normals go into its slice of one (B, 2, *shape) float
+    buffer, through one ginibre(shape, rng, out=) call, and the complex
+    stack is set from the buffer's two planes once. So draw i has the bytes
+    of ginibre(shape, rngs[i]) and leaves rngs[i] in the same state.
+    """
+    z = np.empty((len(rngs), 2, *shape))
+    for zi, rng in zip(z, rngs):
+        ginibre(shape, rng, out=zi)
+    g = np.empty((len(rngs), *shape), complex)
+    g.real, g.imag = z[:, 0], z[:, 1]
+    return g
 
 
 def gen_disk_instance(lam, r, n, seed) -> tuple[np.ndarray, DiskCertificate]:
@@ -174,15 +199,17 @@ def _draw(ensemble, cert, n, rngs) -> np.ndarray:
     what gen_nilpotent_instance draws, and ginibre a unit-norm Ginibre
     matrix, for any cert; the searches draw nilpotent stacks too. Each trial
     draws from its own generator (a chunk's from `_stacks`, a gen_*
-    generator's from default_rng) with one ginibre call, in the order of a
-    one-trial draw. Drawing each trial's normals with one standard_normal
-    call and assembling the chunk's stack once would be faster, but the
-    benchmark's tests (perfbench) pin `extremal.gen.calls` to one ginibre
-    call per sweep trial, so that stays until the pin does (ROADMAP item
-    1). The stack is then finished in one pass: one stacked norm
-    call normalises the disk, ginibre and nilpotent draws, and one batched
-    QR makes the segment draws' unitaries. So a matrix does not depend on
-    the stack it is drawn in.
+    generator's from default_rng), in the order of a one-trial draw, and
+    makes one ginibre call: its normals go into the chunk's planes buffer
+    (`_gaussians`), which becomes the complex stack in one assembly. Ginibre
+    and disk draws take (n, n) planes and the segment draws their Haar
+    input. A nilpotent trial first draws its split k, then the normals of
+    its (n - k, k) block; the trials are grouped by k, one `_gaussians` call
+    and one block assignment per width, since a generator fills only a
+    contiguous buffer. The stack is then finished in one pass: one stacked
+    norm call normalises the disk, ginibre and nilpotent draws, and one
+    batched QR makes the segment draws' unitaries. So a matrix does not
+    depend on the stack it is drawn in.
     """
     n = int(n)
     if ensemble == "segment":
@@ -190,21 +217,22 @@ def _draw(ensemble, cert, n, rngs) -> np.ndarray:
         if not (0 < m <= M) or n < 1:
             raise ValueError("need M >= m > 0 and n >= 1")
         d = np.array([rng.uniform(m, M, size=n) for rng in rngs])
-        u = _haar(np.array([ginibre(n, rng) for rng in rngs]))
+        u = _haar(_gaussians((n, n), rngs))
         a = (u * d[:, None, :]) @ u.conj().swapaxes(-1, -2)
         return 0.5 * (a + a.conj().swapaxes(-1, -2))
     least = 2 if ensemble == "nilpotent" else 1
     if n < least:
         raise ValueError(f"need n >= {least}")
     if ensemble == "nilpotent":
+        # integers(1, 2) returns 1 without advancing the stream, so n = 2
+        # skips the call
+        ks = np.array([1 if n == 2 else rng.integers(1, n) for rng in rngs])
         t = np.zeros((len(rngs), n, n), dtype=complex)
-        for ti, rng in zip(t, rngs):
-            # integers(1, 2) returns 1 without advancing the stream, so n = 2
-            # skips the call
-            k = 1 if n == 2 else int(rng.integers(1, n))
-            ti[k:, :k] = ginibre((n - k, k), rng)
+        for k in range(1, n):
+            idx = np.flatnonzero(ks == k)
+            t[idx, k:, :k] = _gaussians((n - k, k), [rngs[i] for i in idx])
     else:
-        t = np.array([ginibre(n, rng) for rng in rngs])
+        t = _gaussians((n, n), rngs)
     t /= _spectral_norms(t)[:, None, None]
     if ensemble != "disk":
         return t

@@ -1,6 +1,8 @@
 """Generators, golden operators, and the extremal searches."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,15 +224,17 @@ STACKED = {
 
 
 @pytest.mark.parametrize("ensemble", list(STACKED))
-@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_stacked_draws_equal_the_public_generators_bit_for_bit(ensemble, n):
-    # A chunk's stack is drawn in one pass (one stacked norm call, one batched
-    # QR), yet each matrix keeps the bytes its one-trial generator gives it,
-    # and the bytes of the per-trial formulas of the unstacked generators.
+    # A chunk's stack is drawn in one pass (one planes buffer, one stacked
+    # norm call, one batched QR), yet each matrix keeps the bytes its
+    # one-trial generator gives it, and the bytes of the per-trial formulas
+    # of the unstacked generators. n = 4 gives nilpotent blocks of widths 1,
+    # 2 and 3 in one chunk, and 1024 trials are a full n = 4 chunk.
     if ensemble == "nilpotent" and n == 1:
         return
     cert, public = STACKED[ensemble]
-    for chunk in (1, 64, 65):
+    for chunk in (1, 64, 65, 1024):
         seeds = np.random.default_rng([n, chunk]).integers(0, 2**63, size=chunk, dtype=np.uint64)
         seeds = [int(s) for s in seeds]
         got = _draw(ensemble, cert, n, [np.random.default_rng(s) for s in seeds])
@@ -242,14 +246,53 @@ def test_stacked_draws_equal_the_public_generators_bit_for_bit(ensemble, n):
 def test_ginibre_block_draws_the_stream_of_the_old_fill_formula():
     for rows in range(1, 8):
         for cols in range(1, 8):
-            new, old = np.random.default_rng([rows, cols]), np.random.default_rng([rows, cols])
+            new, old, into = (np.random.default_rng([rows, cols]) for _ in range(3))
             block = ginibre((rows, cols), new)
             assert block.shape == (rows, cols)
             assert block.tobytes() == _complex_normal((rows, cols), old).tobytes()
-            assert new.random() == old.random()
+            # out= draws the same stream into a (2, rows, cols) float buffer,
+            # the real plane then the imaginary plane
+            planes = np.empty((2, rows, cols))
+            assert ginibre((rows, cols), into, out=planes) is planes
+            assert planes.tobytes() == np.stack([block.real, block.imag]).tobytes()
+            assert new.random() == old.random() == into.random()
     for n in (3, np.int64(3)):
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         assert ginibre(n, rng).tobytes() == _complex_normal((3, 3), ref).tobytes()
+
+
+@pytest.mark.parametrize("ensemble", list(STACKED))
+def test_a_draw_makes_one_ginibre_call_per_trial(ensemble, monkeypatch):
+    # perfbench's traced sweep reads `extremal.gen.calls` as one ginibre call
+    # per trial; the planes buffer keeps that count in every ensemble
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return ginibre(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "ginibre", counting)
+    cert = STACKED[ensemble][0]
+    for n in (2, 4, 8):
+        for trials in (1, 65):
+            calls.clear()
+            rngs = [np.random.default_rng([n, trial]) for trial in range(trials)]
+            assert len(_draw(ensemble, cert, n, rngs)) == trials
+            assert len(calls) == trials
+
+
+def test_only_ginibre_draws_normals():
+    # Every normal of a draw comes from ginibre, so its calls count the trials
+    # and its stream is the one the stacked draws keep
+    tree = ast.parse(Path(extremal.__file__).read_text())
+
+    def normal_calls(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Attribute) and c.func.attr == "standard_normal"]
+
+    (gin,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "ginibre"]
+    assert len(normal_calls(gin)) == 1
+    assert normal_calls(tree) == normal_calls(gin)
 
 
 # ------------------------------------------------------- chunked generators
